@@ -13,11 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from .field import ConfigurationError, Field, PrimeField
+from .field import ConfigurationError, Field
 from .machine import TransitionFunction
-from .poly import DensePoly, EvalDomain, multipoint_eval, np_matvec
+from .poly import DensePoly, EvalDomain, multipoint_eval
 from .rs import DecodeFailure, NoisyCodeword, decode
 
 SETTINGS = ("sync", "psync")
@@ -164,23 +162,10 @@ def _encode_vectors(vectors, cfg: CodingConfig) -> tuple[tuple[int, ...], ...]:
             raise ValueError("mixed vector dimensions")
         for x in v:
             cfg.field.check(x)
-    if isinstance(cfg.field, PrimeField):
-        coeff = cfg.domain.np_coeffs()
-        cols = []
-        for j in range(dim):
-            col = np.array([v[j] for v in vectors], dtype=np.int64)
-            cols.append(np_matvec(coeff, col, cfg.field.p))
-        return tuple(tuple(int(cols[j][i]) for j in range(dim))
-                     for i in range(n))
     rows = cfg.domain.coeffs()
-    out = []
-    for i in range(n):
-        acc = [0] * dim
-        for cik, v in zip(rows[i], vectors):
-            for j in range(dim):
-                acc[j] = cfg.field.add(acc[j], cfg.field.mul(cik, v[j]))
-        out.append(tuple(acc))
-    return tuple(out)
+    cols = [cfg.field.kernels.matvec(rows, [v[j] for v in vectors])
+            for j in range(dim)]
+    return tuple(tuple(col[i] for col in cols) for i in range(n))
 
 
 def encode_states(states, cfg: CodingConfig):
@@ -200,6 +185,27 @@ def execute_local(coded_state_i, coded_command_i, cfg: CodingConfig):
     return cfg.machine.eval_all(coded_state_i, coded_command_i)
 
 
+def decode_budget(g_values, cfg: CodingConfig):
+    """The public checks every round decoder makes before decoding.
+
+    Returns the result slots as tuples, the error budget left for the
+    decoder, and None; or the slots, None and the violation that makes
+    decoding unsafe.
+    """
+    n = cfg.n_nodes
+    g_values = tuple(None if g is None else tuple(g) for g in g_values)
+    missing = sum(1 for g in g_values if g is None)
+    budget = cfg.b - missing if cfg.setting == "sync" else cfg.b
+    if budget < 0:
+        return g_values, None, "more silent nodes than fault budget"
+    if 2 * budget > (n - missing) - cfg.degree_bound - 1:
+        return g_values, None, "too few results to decode safely"
+    for g in g_values:
+        if g is not None and len(g) != cfg.flat_dim:
+            return g_values, None, "malformed result vector"
+    return g_values, budget, None
+
+
 def decode_round(g_values, cfg: CodingConfig) -> RoundResult:
     """Recover next states and outputs from noisy per-node results.
 
@@ -212,20 +218,11 @@ def decode_round(g_values, cfg: CodingConfig) -> RoundResult:
     n, k = cfg.n_nodes, cfg.k_machines
     if len(g_values) != n:
         raise ValueError(f"need {n} result slots, got {len(g_values)}")
-    g_values = tuple(None if g is None else tuple(g) for g in g_values)
-    missing = sum(1 for g in g_values if g is None)
-    budget = cfg.b - missing if cfg.setting == "sync" else cfg.b
-    if budget < 0:
+    g_values, budget, violation = decode_budget(g_values, cfg)
+    if violation is not None:
         return RoundResult(False, None, None, g_values, None,
-                           violation="more silent nodes than fault budget")
-    if 2 * budget > (n - missing) - cfg.degree_bound - 1:
-        return RoundResult(False, None, None, g_values, None,
-                           violation="too few results to decode safely")
+                           violation=violation)
     dim = cfg.flat_dim
-    for g in g_values:
-        if g is not None and len(g) != dim:
-            return RoundResult(False, None, None, g_values, None,
-                               violation="malformed result vector")
     polys: list[DensePoly] = []
     tau: frozenset[int] | None = None
     for j in range(dim):
@@ -272,13 +269,3 @@ def client_decide(reports, b: int):
         if best[1] >= b + 1:
             return best[0]
     raise DeliveryFailure("no value reached b+1 matching reports")
-
-
-def interpolate_states(states, cfg: CodingConfig) -> list[DensePoly]:
-    """Per-coordinate interpolants through (omega_k, S_k); mostly for tests."""
-    from .poly import interpolate
-    out = []
-    for j in range(len(states[0])):
-        pts = [(w, s[j]) for w, s in zip(cfg.domain.omegas, states)]
-        out.append(interpolate(pts, cfg.field))
-    return out

@@ -10,6 +10,11 @@ Every arithmetic call is charged to the currently active operation counter,
 if any.  The simulation layer switches counters when it runs code on behalf
 of a node, a worker, or an auditor, which is how per-role complexity is
 measured without threading counter objects through every call site.
+
+Bulk arithmetic (power tables of public points, matrix-vector products and
+linear solves) lives here too, in each field's ``kernels``.  The field
+picks them once, at construction: int64 numpy code where it is exact
+(prime p with p^2 < 2^63), per-operation loops everywhere else.
 """
 
 from __future__ import annotations
@@ -17,6 +22,9 @@ from __future__ import annotations
 import random
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 
 class ConfigurationError(ValueError):
@@ -138,6 +146,180 @@ class CounterBoard:
 
 
 # ---------------------------------------------------------------------------
+# bulk kernels
+# ---------------------------------------------------------------------------
+
+TABLE_CACHE_SIZE = 256
+
+
+class Table(tuple):
+    """A public matrix of field elements: a tuple of row tuples of ints.
+
+    Tables are built once and reused, so the int64 form the int64 kernels
+    need is computed on first use and kept with the table.
+    """
+
+    @cached_property
+    def int64(self) -> np.ndarray:
+        return np.array(self, dtype=np.int64)
+
+
+class LoopKernels:
+    """Bulk field arithmetic as loops over the field's counted operations.
+
+    Exact in every field.  Each kernel takes and returns Python ints.
+    """
+
+    def __init__(self, field: "Field"):
+        self.field = field
+        self._tables: dict[tuple, Table] = {}
+
+    def power_table(self, points, ncols: int) -> Table:
+        """Row i is (1, x_i, x_i^2, ...) with ncols entries.
+
+        Public setup over public points, so it is not charged to any
+        counter; the last TABLE_CACHE_SIZE tables are cached.
+        """
+        key = (tuple(points), ncols)
+        table = self._tables.get(key)
+        if table is None:
+            f = self.field
+            rows = []
+            with uncounted():
+                for x in key[0]:
+                    row, xj = [], 1
+                    for _ in range(ncols):
+                        row.append(xj)
+                        xj = f.mul(xj, x)
+                    rows.append(tuple(row))
+            if len(self._tables) >= TABLE_CACHE_SIZE:
+                del self._tables[next(iter(self._tables))]
+            table = self._tables[key] = Table(rows)
+        return table
+
+    def matvec(self, matrix, vector) -> tuple[int, ...]:
+        """Counted exact matrix-vector product."""
+        f = self.field
+        out = []
+        for row in matrix:
+            if len(row) != len(vector):
+                raise ValueError("dimension mismatch")
+            acc = 0
+            for a, x in zip(row, vector):
+                acc = f.add(acc, f.mul(a, x))
+            out.append(acc)
+        return tuple(out)
+
+    def solve(self, matrix, rhs) -> list[int] | None:
+        """Reduced-row-echelon solve of M x = rhs; None if inconsistent.
+
+        Free variables are set to zero and the pivot is the first row with
+        a nonzero entry, so every backend gives the same solution.
+        """
+        f = self.field
+        n = len(matrix)
+        u = len(matrix[0]) if n else 0
+        A = [list(matrix[i]) + [rhs[i]] for i in range(n)]
+        row = 0
+        pivots = []
+        for col in range(u):
+            if row == n:
+                break
+            sel = next((r for r in range(row, n) if A[r][col] != 0), None)
+            if sel is None:
+                continue
+            if sel != row:
+                A[row], A[sel] = A[sel], A[row]
+            a = A[row][col]
+            if a != 1:
+                inv = f.inv(a)
+                A[row] = [f.mul(v, inv) for v in A[row]]
+            for r in range(n):
+                if r != row and A[r][col] != 0:
+                    fac = A[r][col]
+                    A[r] = [f.sub(v, f.mul(fac, w))
+                            for v, w in zip(A[r], A[row])]
+            pivots.append((row, col))
+            row += 1
+        for r in range(row, n):
+            if A[r][u] != 0:
+                return None
+        x = [0] * u
+        for r, c in pivots:
+            x[c] = A[r][u]
+        return x
+
+
+class Int64Kernels(LoopKernels):
+    """The same kernels as int64 numpy code, charged in bulk.
+
+    Exact for a prime p with p^2 < 2^63: every product of two reduced
+    values fits, and products are reduced before they are summed.
+    """
+
+    def matvec(self, matrix, vector) -> tuple[int, ...]:
+        if not len(matrix):
+            return ()
+        M = matrix.int64 if isinstance(matrix, Table) \
+            else np.array(matrix, dtype=np.int64)
+        v = np.array(vector, dtype=np.int64)
+        if M.shape[1] != v.shape[0]:
+            raise ValueError("dimension mismatch")
+        p = self.field.p
+        n, k = M.shape
+        # a row sums k reduced products, below k * p < 2^63 for any k that
+        # fits in memory
+        out = (M * v[None, :] % p).sum(axis=1) % p
+        charge(adds=n * max(0, k - 1), muls=n * k)
+        return tuple(int(x) for x in out)
+
+    def solve(self, matrix, rhs) -> list[int] | None:
+        p = self.field.p
+        n = len(matrix)
+        u = len(matrix[0]) if n else 0
+        M = np.array(matrix, dtype=np.int64).reshape(n, u)
+        b = np.array(rhs, dtype=np.int64)
+        A = np.concatenate([M % p, b[:, None] % p], axis=1)
+        row = 0
+        pivots = []
+        muls = adds = invs = 0
+        for col in range(u):
+            if row == n:
+                break
+            sub = A[row:, col]
+            nz = np.nonzero(sub)[0]
+            if nz.size == 0:
+                continue
+            sel = row + int(nz[0])
+            if sel != row:
+                A[[row, sel]] = A[[sel, row]]
+            a = int(A[row, col])
+            width = u + 1 - col
+            if a != 1:
+                inv = pow(a, -1, p)
+                A[row, col:] = A[row, col:] * inv % p
+                invs += 1
+                muls += width
+            others = np.nonzero(A[:, col])[0]
+            others = others[others != row]
+            if others.size:
+                fac = A[others, col][:, None]
+                A[others, col:] = (A[others, col:]
+                                   - fac * A[row, col:][None, :]) % p
+                muls += int(others.size) * width
+                adds += int(others.size) * width
+            pivots.append((row, col))
+            row += 1
+        charge(adds=adds, muls=muls, invs=invs)
+        if row < n and np.any(A[row:, u]):
+            return None
+        x = [0] * u
+        for r, c in pivots:
+            x[c] = int(A[r, u])
+        return x
+
+
+# ---------------------------------------------------------------------------
 # fields
 # ---------------------------------------------------------------------------
 
@@ -171,6 +353,7 @@ class Field:
     kind: str
     order: int
     char: int
+    kernels: LoopKernels
 
     def add(self, a: int, b: int) -> int:
         raise NotImplementedError
@@ -254,6 +437,8 @@ class PrimeField(Field):
         self.p = p
         self.order = p
         self.char = p
+        self.kernels = Int64Kernels(self) if p * p < 1 << 63 \
+            else LoopKernels(self)
 
     def add(self, a, b):
         c = _ACTIVE
@@ -358,6 +543,7 @@ class BinaryField(Field):
         self._exp: list[int] | None = None
         self._log: list[int] | None = None
         self._tables_wanted = m <= _LOG_TABLE_MAX_M
+        self.kernels = LoopKernels(self)
 
     # raw carry-less multiply with reduction, independent of tables
     def _clmul(self, a: int, b: int) -> int:

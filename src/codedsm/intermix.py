@@ -21,20 +21,10 @@ import json
 import math
 import random
 from dataclasses import dataclass, field as dc_field
-from functools import lru_cache
 
-import numpy as np
-
-from .csm import CodingConfig, RoundResult
-from .field import (
-    ConfigurationError,
-    CounterBoard,
-    Field,
-    PrimeField,
-    counting,
-    uncounted,
-)
-from .poly import DensePoly, interpolate, multipoint_eval, np_matvec
+from .csm import CodingConfig, RoundResult, decode_budget
+from .field import ConfigurationError, CounterBoard, Field, OpCounter, counting
+from .poly import DensePoly, interpolate, multipoint_eval
 from .rs import DecodeFailure, NoisyCodeword, decode
 
 
@@ -90,47 +80,14 @@ def elect_committee(n_nodes: int, mu, eps: float, beacon,
 
 
 # ---------------------------------------------------------------------------
-# products and public power tables
+# segment products
 # ---------------------------------------------------------------------------
-
-def matvec(fld: Field, matrix, vector) -> tuple[int, ...]:
-    """Counted exact matrix-vector product."""
-    if isinstance(fld, PrimeField):
-        m = np.asarray(matrix, dtype=np.int64)
-        v = np.asarray(vector, dtype=np.int64)
-        if m.shape[1] != v.shape[0]:
-            raise ValueError("dimension mismatch")
-        return tuple(int(x) for x in np_matvec(m, v, fld.p))
-    out = []
-    for row in matrix:
-        if len(row) != len(vector):
-            raise ValueError("dimension mismatch")
-        acc = 0
-        for a, x in zip(row, vector):
-            acc = fld.add(acc, fld.mul(a, x))
-        out.append(acc)
-    return tuple(out)
-
 
 def _segment_product(fld: Field, row, vector, lo: int, hi: int) -> int:
     acc = 0
     for k in range(lo, hi):
         acc = fld.add(acc, fld.mul(row[k], vector[k]))
     return acc
-
-
-@lru_cache(maxsize=256)
-def power_rows(fld: Field, points: tuple[int, ...],
-               ncols: int) -> tuple[tuple[int, ...], ...]:
-    """Public table of point powers: row i is (1, p_i, p_i^2, ...)."""
-    with uncounted():
-        rows = []
-        for x in points:
-            row = [1]
-            for _ in range(ncols - 1):
-                row.append(fld.mul(row[-1], x))
-            rows.append(tuple(row))
-    return tuple(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -194,14 +151,16 @@ class Worker:
 
     def _scoped(self):
         if self.board is None:
-            return counting(_scratch_counter())
+            # a throwaway sink, so unscoped runs take the counted paths too
+            return counting(OpCounter())
         return self.board.scope(self.name, self.phase)
 
     def claim(self) -> tuple[int, ...]:
         if self._claim is None:
             with self._scoped():
                 honest = (tuple(self.claim_fn()) if self.claim_fn is not None
-                          else matvec(self.field, self.matrix, self.vector))
+                          else self.field.kernels.matvec(self.matrix,
+                                                         self.vector))
             out = list(honest)
             for row, (delta, _) in self.strategy.deltas.items():
                 out[row] = self.field.add(out[row], delta)
@@ -234,18 +193,6 @@ class Worker:
             reply = (left, right)
         self.reply_log[key] = reply
         return reply
-
-
-_SCRATCH = None
-
-
-def _scratch_counter():
-    # a throwaway sink so unscoped runs still exercise the counted paths
-    from .field import OpCounter
-    global _SCRATCH
-    if _SCRATCH is None:
-        _SCRATCH = OpCounter()
-    return _SCRATCH
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +260,7 @@ def audit(fld: Field, matrix, vector, worker: Worker, auditor: int = 0,
     """
     claim = worker.claim()
     if expected is None:
-        expected = matvec(fld, matrix, vector)
+        expected = fld.kernels.matvec(matrix, vector)
     expected = tuple(expected)
     if len(claim) != len(expected):
         return AuditTranscript(auditor, claim, 0, (),
@@ -642,12 +589,6 @@ def _attempt_loop(dele: Delegation, task):
                              comparisons, tuple(rejected))
 
 
-def _coding_rows(cfg: CodingConfig) -> tuple[tuple[int, ...], ...]:
-    with uncounted():
-        rows = tuple(tuple(r) for r in cfg.domain.coeffs())
-    return rows
-
-
 def delegated_encode(vectors, dele: Delegation,
                      phase: str = "rho") -> DelegationOutcome:
     """Verified re-encoding: N-point claims about K interpolated vectors.
@@ -662,7 +603,7 @@ def delegated_encode(vectors, dele: Delegation,
     if len(vectors) != k:
         raise ValueError(f"need {k} vectors, got {len(vectors)}")
     dim = len(vectors[0])
-    rows = _coding_rows(cfg)
+    rows = cfg.domain.coeffs()
     omegas, alphas = list(cfg.domain.omegas), list(cfg.domain.alphas)
 
     def eval_route(col):
@@ -724,22 +665,6 @@ class DecodeClaim:
                            tuple(tuple(e) for e in d["evals"]))
 
 
-def _decode_budget(g_values, cfg: CodingConfig):
-    """Public per-round facts: present slots, usable budget, or a violation."""
-    n = cfg.n_nodes
-    g_values = tuple(None if g is None else tuple(g) for g in g_values)
-    missing = sum(1 for g in g_values if g is None)
-    budget = cfg.b - missing if cfg.setting == "sync" else cfg.b
-    if budget < 0:
-        return g_values, None, None, "more silent nodes than fault budget"
-    if 2 * budget > (n - missing) - cfg.degree_bound - 1:
-        return g_values, None, None, "too few results to decode safely"
-    for g in g_values:
-        if g is not None and len(g) != cfg.flat_dim:
-            return g_values, None, None, "malformed result vector"
-    return g_values, n - missing, budget, None
-
-
 def honest_decode_claim(g_values, cfg: CodingConfig, budget: int,
                         mode: str = "auto") -> DecodeClaim | None:
     """Decode every coordinate; None when any coordinate is undecodable."""
@@ -779,7 +704,7 @@ def verify_decode_claim(g_values, claim: DecodeClaim, cfg: CodingConfig,
     fabricated claim always trips one of the products.
     """
     cfg_f = cfg.field
-    g_values, n_present, budget, violation = _decode_budget(g_values, cfg)
+    g_values, budget, violation = decode_budget(g_values, cfg)
     if violation is not None:
         return False, violation, 0
     comparisons = 1
@@ -787,7 +712,7 @@ def verify_decode_claim(g_values, claim: DecodeClaim, cfg: CodingConfig,
     if not set(claim.tau) <= present or len(set(claim.tau)) != len(claim.tau):
         return False, "agreement set not among present results", comparisons
     comparisons += 1
-    if len(claim.tau) < n_present - budget:
+    if len(claim.tau) < len(present) - budget:
         return False, "agreement set below decoding floor", comparisons
     width = cfg.degree_bound + 1
     dim = cfg.flat_dim
@@ -798,8 +723,8 @@ def verify_decode_claim(g_values, claim: DecodeClaim, cfg: CodingConfig,
             or any(len(e) != dim for e in claim.evals)):
         return False, "malformed decode claim", comparisons
     alphas_tau = tuple(cfg.domain.alphas[i] for i in claim.tau)
-    v_rows = power_rows(cfg_f, alphas_tau, width)
-    o_rows = power_rows(cfg_f, tuple(cfg.domain.omegas), width)
+    v_rows = cfg_f.kernels.power_table(alphas_tau, width)
+    o_rows = cfg_f.kernels.power_table(cfg.domain.omegas, width)
     strategy = WorkerStrategy(reply=reply) if reply != "truthful" else HONEST
     for j in range(dim):
         b = claim.coeffs[j]
@@ -855,7 +780,7 @@ def delegated_decode(g_values, dele: Delegation) -> DelegationOutcome:
     committee concurs.
     """
     cfg = dele.cfg
-    g_values, n_present, budget, violation = _decode_budget(g_values, cfg)
+    g_values, budget, violation = decode_budget(g_values, cfg)
     if violation is not None:
         rr = RoundResult(False, None, None, g_values, None,
                          violation=violation)

@@ -20,9 +20,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-import numpy as np
-
-from .field import ConfigurationError, Field, active_counter, charge, uncounted
+from .field import ConfigurationError, Field, Table, active_counter, uncounted
 
 KARATSUBA_BASE = 8   # sizes at or below this multiply schoolbook-style
 AUTO_FAST_MIN = 32   # `auto` mode switches to the fast path at this size
@@ -392,12 +390,6 @@ class DensePoly:
     def scale(self, s: int) -> "DensePoly":
         return DensePoly(self.field, _lscale(list(self.coeffs), s, self.field))
 
-    def shift(self, k: int) -> "DensePoly":
-        """Multiply by z^k."""
-        if self.is_zero():
-            return self
-        return DensePoly(self.field, [0] * k + list(self.coeffs))
-
     def divmod(self, other: "DensePoly") -> tuple["DensePoly", "DensePoly"]:
         self._want(other)
         q, r = _divmod_naive(list(self.coeffs), list(other.coeffs), self.field)
@@ -442,9 +434,7 @@ class EvalDomain:
         self.field = field
         self.omegas = omegas
         self.alphas = alphas
-        self._coeffs: list[list[int]] | None = None
-        self._np_coeffs: np.ndarray | None = None
-        self._np_vander: dict[tuple[str, int], np.ndarray] = {}
+        self._coeffs: Table | None = None
 
     @classmethod
     def default(cls, field: Field, K: int, N: int) -> "EvalDomain":
@@ -462,7 +452,7 @@ class EvalDomain:
     def N(self) -> int:
         return len(self.alphas)
 
-    def coeffs(self) -> list[list[int]]:
+    def coeffs(self) -> Table:
         """The N x K matrix C with C[i][k] = prod_{l != k} (a_i - w_l)/(w_k - w_l).
 
         Row i maps plain values at the omegas to node i's stored evaluation.
@@ -471,10 +461,10 @@ class EvalDomain:
         """
         if self._coeffs is None:
             with uncounted():
-                self._coeffs = self._build_coeffs()
+                self._coeffs = Table(self._build_coeffs())
         return self._coeffs
 
-    def _build_coeffs(self) -> list[list[int]]:
+    def _build_coeffs(self) -> list[tuple[int, ...]]:
         f = self.field
         K = self.K
         dens = []
@@ -493,61 +483,13 @@ class EvalDomain:
             suf = [1] * (K + 1)
             for k in range(K - 1, -1, -1):
                 suf[k] = f.mul(suf[k + 1], diffs[k])
-            rows.append([f.mul(f.mul(pre[k], suf[k + 1]), dens[k])
-                         for k in range(K)])
+            rows.append(tuple(f.mul(f.mul(pre[k], suf[k + 1]), dens[k])
+                              for k in range(K)))
         return rows
-
-    def np_coeffs(self) -> np.ndarray:
-        """Coefficient matrix as int64 ndarray (prime fields only)."""
-        if self.field.kind != "prime":
-            raise ConfigurationError("ndarray code matrix requires a prime field")
-        if self._np_coeffs is None:
-            self._np_coeffs = np.array(self.coeffs(), dtype=np.int64)
-        return self._np_coeffs
-
-    def np_vander(self, which: str, ncols: int) -> np.ndarray:
-        """Cached Vandermonde powers of the alpha or omega points (prime fields)."""
-        if self.field.kind != "prime":
-            raise ConfigurationError("ndarray Vandermonde requires a prime field")
-        key = (which, ncols)
-        if key not in self._np_vander:
-            pts = self.alphas if which == "alpha" else self.omegas
-            p = self.field.order
-            V = np.empty((len(pts), ncols), dtype=np.int64)
-            V[:, 0] = 1
-            col = np.array(pts, dtype=np.int64)
-            for j in range(1, ncols):
-                V[:, j] = V[:, j - 1] * col % p
-            self._np_vander[key] = V
-        return self._np_vander[key]
 
     def __repr__(self):
         return f"EvalDomain(K={self.K}, N={self.N}, field={self.field!r})"
 
 
 def lagrange_coeffs(domain: EvalDomain) -> list[list[int]]:
-    return domain.coeffs()
-
-
-def np_matvec(M: np.ndarray, v: np.ndarray, p: int,
-              count: bool = True) -> np.ndarray:
-    """Exact M @ v mod p with bulk operation accounting.
-
-    Entries must stay below 2^63 across one row's accumulation, so rows are
-    chunked when necessary.
-    """
-    n, k = M.shape
-    # int64 products of two values < p < 2^31.5 are safe; products are
-    # reduced before summing, so sums of up to 2^62/p terms cannot overflow
-    chunk = max(1, (1 << 62) // int(p))
-    if k <= chunk:
-        out = (M * v[None, :] % p).sum(axis=1) % p
-    else:
-        acc = np.zeros(n, dtype=np.int64)
-        for s in range(0, k, chunk):
-            part = (M[:, s:s + chunk] * v[None, s:s + chunk] % p).sum(axis=1)
-            acc = (acc + part) % p
-        out = acc
-    if count:
-        charge(adds=n * max(0, k - 1), muls=n * k)
-    return out
+    return [list(row) for row in domain.coeffs()]

@@ -17,11 +17,8 @@ as a third-party-checkable certificate of a claimed decoding.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
-import numpy as np
-
-from .field import Field, charge
+from .field import Field, charge, uncounted
 from .poly import DensePoly, interpolate
 
 
@@ -70,34 +67,12 @@ class DecodeResult:
     agreement: frozenset[int]
 
 
-@lru_cache(maxsize=512)
-def _vander(p: int, pts: tuple[int, ...], ncols: int) -> np.ndarray:
-    V = np.empty((len(pts), ncols), dtype=np.int64)
-    V[:, 0] = 1
-    col = np.array(pts, dtype=np.int64)
-    for j in range(1, ncols):
-        V[:, j] = V[:, j - 1] * col % p
-    return V
-
-
 def _eval_many(coeffs: list[int], pts: list[int], field: Field) -> list[int]:
-    """Evaluate at many points; vectorized over prime fields."""
+    """Evaluate at many points: a product with the points' power table."""
     if not coeffs:
         return [0] * len(pts)
-    if field.kind == "prime":
-        p = field.order
-        V = _vander(p, tuple(pts), len(coeffs))
-        c = np.array(coeffs, dtype=np.int64)
-        out = (V * c[None, :] % p).sum(axis=1) % p
-        charge(adds=len(pts) * (len(coeffs) - 1), muls=len(pts) * len(coeffs))
-        return [int(v) for v in out]
-    out = []
-    for x in pts:
-        acc = 0
-        for c in reversed(coeffs):
-            acc = field.add(field.mul(acc, x), c)
-        out.append(acc)
-    return out
+    kernels = field.kernels
+    return list(kernels.matvec(kernels.power_table(pts, len(coeffs)), coeffs))
 
 
 def agreement_set(poly: DensePoly, cw: NoisyCodeword) -> frozenset[int]:
@@ -117,123 +92,26 @@ def agreement_threshold(n: int, degree_bound: int) -> int:
     return (n + degree_bound + 2) // 2  # ceil((n + D + 1) / 2)
 
 
-# ---------------------------------------------------------------------------
-# linear solving
-# ---------------------------------------------------------------------------
-
-def _solve_np(M: np.ndarray, rhs: np.ndarray, p: int):
-    """Reduced-row-echelon solve of M x = rhs over F_p; None if inconsistent.
-
-    Free variables are set to zero.  The pivot rule (first row with a
-    nonzero entry) matches the generic-field path, so both give the same
-    solution on the same input.
-    """
-    n, u = M.shape
-    A = np.concatenate([M % p, rhs[:, None] % p], axis=1)
-    row = 0
-    pivots = []
-    muls = adds = invs = 0
-    for col in range(u):
-        if row == n:
-            break
-        sub = A[row:, col]
-        nz = np.nonzero(sub)[0]
-        if nz.size == 0:
-            continue
-        sel = row + int(nz[0])
-        if sel != row:
-            A[[row, sel]] = A[[sel, row]]
-        a = int(A[row, col])
-        width = u + 1 - col
-        if a != 1:
-            inv = pow(a, -1, p)
-            A[row, col:] = A[row, col:] * inv % p
-            invs += 1
-            muls += width
-        others = np.nonzero(A[:, col])[0]
-        others = others[others != row]
-        if others.size:
-            fac = A[others, col][:, None]
-            A[others, col:] = (A[others, col:] - fac * A[row, col:][None, :]) % p
-            muls += int(others.size) * width
-            adds += int(others.size) * width
-        pivots.append((row, col))
-        row += 1
-    charge(adds=adds, muls=muls, invs=invs)
-    if row < n and np.any(A[row:, u]):
-        return None
-    x = np.zeros(u, dtype=np.int64)
-    for r, c in pivots:
-        x[c] = A[r, u]
-    return x
-
-
-def _solve_generic(M: list[list[int]], rhs: list[int], f: Field):
-    n = len(M)
-    u = len(M[0]) if n else 0
-    A = [list(M[i]) + [rhs[i]] for i in range(n)]
-    row = 0
-    pivots = []
-    for col in range(u):
-        if row == n:
-            break
-        sel = next((r for r in range(row, n) if A[r][col] != 0), None)
-        if sel is None:
-            continue
-        if sel != row:
-            A[row], A[sel] = A[sel], A[row]
-        a = A[row][col]
-        if a != 1:
-            inv = f.inv(a)
-            A[row] = [f.mul(v, inv) for v in A[row]]
-        for r in range(n):
-            if r != row and A[r][col] != 0:
-                fac = A[r][col]
-                A[r] = [f.sub(v, f.mul(fac, w)) for v, w in zip(A[r], A[row])]
-        pivots.append((row, col))
-        row += 1
-    for r in range(row, n):
-        if A[r][u] != 0:
-            return None
-    x = [0] * u
-    for r, c in pivots:
-        x[c] = A[r][u]
-    return x
-
-
 def _bw_candidate(field, pts, vals, D, e):
-    """Solve the decoder system at error budget e; None on inconsistency."""
+    """Solve the decoder system at error budget e; None on inconsistency.
+
+    The unknowns are Q's D+e+1 coefficients and the low e coefficients of
+    the monic locator E; row i states Q(x_i) - g_i E(x_i) = g_i x_i^e.
+    """
     nq = D + e + 1
-    if field.kind == "prime":
-        p = field.order
-        V = _vander(p, tuple(pts), max(nq, e + 1))
-        g = np.array(vals, dtype=np.int64)
-        M = np.concatenate([V[:, :nq], -(g[:, None]) * V[:, :e] % p], axis=1)
-        rhs = g * V[:, e] % p
-        charge(muls=len(pts) * (e + 1))
-        x = _solve_np(M, rhs, p)
-        if x is None:
-            return None
-        q = [int(c) for c in x[:nq]]
-        eloc = [int(c) for c in x[nq:]] + [1]
-    else:
-        M = []
-        rhs = []
-        for x_i, g_i in zip(pts, vals):
-            powers = [1]
-            for _ in range(max(nq, e + 1) - 1):
-                powers.append(field.mul(powers[-1], x_i))
-            row = powers[:nq] + [field.neg(field.mul(g_i, powers[j]))
-                                 for j in range(e)]
-            M.append(row)
-            rhs.append(field.mul(g_i, powers[e]))
-        x = _solve_generic(M, rhs, field)
-        if x is None:
-            return None
-        q = x[:nq]
-        eloc = x[nq:] + [1]
-    qp = DensePoly(field, q)
-    ep = DensePoly(field, eloc)
+    V = field.kernels.power_table(pts, nq)
+    M, rhs = [], []
+    with uncounted():
+        for row, g in zip(V, vals):
+            ng = field.neg(g)
+            M.append(row[:nq] + tuple([field.mul(ng, x) for x in row[:e]]))
+            rhs.append(field.mul(g, row[e]))
+    charge(muls=len(pts) * (e + 1))
+    x = field.kernels.solve(M, rhs)
+    if x is None:
+        return None
+    qp = DensePoly(field, x[:nq])
+    ep = DensePoly(field, x[nq:] + [1])
     quo, rem = qp.divmod(ep)
     if not rem.is_zero():
         return None

@@ -690,19 +690,12 @@ def _baseline_tamper(adversary, cfg, rnd, timing):
     def tamper(i, report):
         if i not in adversary.faulty:
             return report
-        strategy = adversary.strategy
-        if strategy in ("none", "false_audit", "dishonest_worker"):
-            return report
-        if strategy == "withhold":
-            return None
-        if strategy == "delay":
-            if timing.mode == "psync" and rnd >= timing.gst:
-                return report
-            return None
         rng = adversary.stream("report", rnd, i)
-        rand_vals = strategy in ("corrupt_random", "equivocate")
-        return {mk: _corrupt_vector(vec, fld, rng, rand_vals)
-                for mk, vec in report.items()}
+        out = {mk: _faulty_result(adversary.strategy, vec, fld, rng, rnd,
+                                  timing)
+               for mk, vec in report.items()}
+        # a node that withholds one report withholds them all
+        return None if None in out.values() else out
 
     return tamper
 

@@ -11,8 +11,11 @@ from codedsm.field import (
     BinaryField,
     ConfigurationError,
     CounterBoard,
+    Int64Kernels,
+    LoopKernels,
     OpCounter,
     PrimeField,
+    Table,
     counting,
     parse_field,
 )
@@ -279,3 +282,48 @@ def test_parse_field():
         parse_field("weird:9")
     with pytest.raises(ConfigurationError):
         parse_field("prime:15")
+
+
+# ---------------------------------------------------------------------------
+# bulk kernels
+# ---------------------------------------------------------------------------
+
+def test_kernel_backend_follows_the_int64_bound():
+    # 3037000493 is the largest prime with p^2 < 2^63
+    assert isinstance(PrimeField(3037000493).kernels, Int64Kernels)
+    assert type(PrimeField(4294967311).kernels) is LoopKernels
+    assert type(PrimeField((1 << 61) - 1).kernels) is LoopKernels
+    assert type(GF256.kernels) is LoopKernels
+
+
+F97 = PrimeField(97)
+ELEM97 = st.integers(0, 96)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), n=st.integers(1, 7), k=st.integers(1, 7))
+def test_int64_kernels_match_loop_kernels(data, n, k):
+    assert isinstance(F97.kernels, Int64Kernels)
+    loop = LoopKernels(F97)
+    row = st.lists(ELEM97, min_size=k, max_size=k)
+    M = data.draw(st.lists(row, min_size=n, max_size=n))
+    v = data.draw(row)
+    assert F97.kernels.matvec(M, v) == loop.matvec(M, v)
+    assert F97.kernels.matvec(Table(map(tuple, M)), v) == loop.matvec(M, v)
+    # a solvable system, and one whose right side is arbitrary
+    rhs = list(loop.matvec(M, v))
+    sol = F97.kernels.solve(M, rhs)
+    assert sol == loop.solve(M, rhs)
+    assert loop.matvec(M, sol) == tuple(rhs)
+    other = data.draw(st.lists(ELEM97, min_size=n, max_size=n))
+    assert F97.kernels.solve(M, other) == loop.solve(M, other)
+    pts = data.draw(st.lists(ELEM97, min_size=1, max_size=n, unique=True))
+    assert F97.kernels.power_table(pts, k) == loop.power_table(pts, k)
+
+
+def test_power_table_is_cached_and_uncounted():
+    c = OpCounter()
+    with counting(c):
+        t = F11.kernels.power_table((3, 4), 3)
+    assert c.total() == 0
+    assert F11.kernels.power_table([3, 4], 3) is t

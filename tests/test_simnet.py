@@ -142,6 +142,27 @@ def test_csm_masks_catalog_at_capacity(strategy):
     assert res.rounds_run == 5
 
 
+@pytest.mark.parametrize("spec", ["prime:2305843009213693951",
+                                  "prime:4294967311"])
+def test_csm_over_primes_beyond_int64_products(spec):
+    res = run_experiment(ExperimentConfig(
+        protocol="csm", n_nodes=30, degree=2, field_spec=spec,
+        fault_fraction=Fraction(1, 10), adversary="corrupt", rounds=2,
+        seed=7))
+    assert res.ok, res.violations
+    assert res.rounds_run == 2
+
+
+def test_delegated_csm_over_a_61_bit_prime():
+    res = run_experiment(ExperimentConfig(
+        protocol="csm", n_nodes=16, degree=1, machine="bank",
+        field_spec="prime:2305843009213693951",
+        fault_fraction=Fraction(1, 4), delegate=True,
+        adversary="dishonest_worker", rounds=2, seed=3))
+    assert res.ok, res.violations
+    assert res.rounds_run == 2
+
+
 def test_corrupt_changes_faulty_broadcasts_only():
     res = run_experiment(_cfg(adversary="corrupt", rounds=3))
     faulty = set(res.log.of("header")[0]["faulty"])
