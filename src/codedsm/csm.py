@@ -10,15 +10,17 @@ the corrupted share stays under the decoding radius.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .field import ConfigurationError, Field
 from .machine import TransitionFunction
-from .poly import DensePoly, EvalDomain, multipoint_eval
+from .poly import EvalDomain, multipoint_eval
 from .rs import DecodeFailure, NoisyCodeword, decode
 
 SETTINGS = ("sync", "psync")
+DECODE_FAILURE = "decode failure (fault budget exceeded)"
 
 
 class DeliveryFailure(Exception):
@@ -136,6 +138,11 @@ class RoundResult:
     tau: frozenset[int] | None
     violation: str | None = None
 
+    @staticmethod
+    def failed(g_values, violation: str) -> "RoundResult":
+        return RoundResult(False, None, None, tuple(g_values), None,
+                           violation=violation)
+
     def record(self, round_index: int, commands=None) -> dict:
         """Plain-dict form for a JSON-lines round trace."""
         return {
@@ -206,46 +213,83 @@ def decode_budget(g_values, cfg: CodingConfig):
     return g_values, budget, None
 
 
-def decode_round(g_values, cfg: CodingConfig) -> RoundResult:
+@dataclass(frozen=True)
+class DecodeClaim:
+    """A round's decoding: an agreement set, the recovered coefficient
+    vectors (one per flat coordinate, padded to the composite degree bound
+    plus one), and the decoded per-machine evaluations. A delegated
+    decoder announces one for audit."""
+
+    tau: tuple[int, ...]
+    coeffs: tuple[tuple[int, ...], ...]
+    evals: tuple[tuple[int, ...], ...]   # K rows, flat_dim columns
+
+    def round_result(self, g_values, cfg: CodingConfig) -> RoundResult:
+        sd = cfg.machine.state_dim
+        return RoundResult(True, tuple(e[:sd] for e in self.evals),
+                           tuple(e[sd:] for e in self.evals),
+                           tuple(g_values), frozenset(self.tau))
+
+    def to_json(self) -> str:
+        return json.dumps({"tau": list(self.tau),
+                           "coeffs": [list(c) for c in self.coeffs],
+                           "evals": [list(e) for e in self.evals]})
+
+    @staticmethod
+    def from_json(text: str) -> "DecodeClaim":
+        d = json.loads(text)
+        return DecodeClaim(tuple(d["tau"]),
+                           tuple(tuple(c) for c in d["coeffs"]),
+                           tuple(tuple(e) for e in d["evals"]))
+
+
+def decode_claim(g_values, cfg: CodingConfig, budget: int,
+                 mode: str = "auto") -> DecodeClaim | None:
+    """Decode every coordinate of checked result slots (see
+    `decode_budget`); None when any coordinate is undecodable."""
+    dim = cfg.flat_dim
+    polys = []
+    tau = None
+    for j in range(dim):
+        values = tuple(None if g is None else g[j] for g in g_values)
+        cw = NoisyCodeword(cfg.field, cfg.domain.alphas, values,
+                           cfg.degree_bound, budget)
+        try:
+            res = decode(cw, mode)
+        except DecodeFailure:
+            return None
+        polys.append(res.poly)
+        tau = res.agreement if tau is None else tau & res.agreement
+    width = cfg.degree_bound + 1
+    coeffs = tuple(tuple(p.coeffs) + (0,) * (width - len(p.coeffs))
+                   for p in polys)
+    per = [multipoint_eval(p, list(cfg.domain.omegas), mode) for p in polys]
+    evals = tuple(tuple(per[j][mk] for j in range(dim))
+                  for mk in range(cfg.k_machines))
+    return DecodeClaim(tuple(sorted(tau)), coeffs, evals)
+
+
+def decode_round(g_values, cfg: CodingConfig,
+                 mode: str = "auto") -> RoundResult:
     """Recover next states and outputs from noisy per-node results.
 
     ``g_values[i]`` is node i's broadcast vector or None if nothing usable
     arrived. Missing slots consume error budget here because under bounded
     delay an honest node's message cannot be absent; callers in the
     eventually-synchronous setting instead pass the first N - b arrivals
-    and None elsewhere, which this same arithmetic accepts.
+    and None elsewhere, which this same arithmetic accepts. ``mode`` picks
+    the polynomial arithmetic route.
     """
-    n, k = cfg.n_nodes, cfg.k_machines
+    n = cfg.n_nodes
     if len(g_values) != n:
         raise ValueError(f"need {n} result slots, got {len(g_values)}")
     g_values, budget, violation = decode_budget(g_values, cfg)
     if violation is not None:
-        return RoundResult(False, None, None, g_values, None,
-                           violation=violation)
-    dim = cfg.flat_dim
-    polys: list[DensePoly] = []
-    tau: frozenset[int] | None = None
-    for j in range(dim):
-        values = tuple(None if g is None else g[j] for g in g_values)
-        cw = NoisyCodeword(cfg.field, cfg.domain.alphas, values,
-                           cfg.degree_bound, budget)
-        try:
-            res = decode(cw)
-        except DecodeFailure:
-            return RoundResult(False, None, None, g_values, None,
-                               violation="decode failure (fault budget "
-                                         "exceeded)")
-        polys.append(res.poly)
-        tau = res.agreement if tau is None else tau & res.agreement
-    per_machine = [multipoint_eval(p, list(cfg.domain.omegas))
-                   for p in polys]
-    sd = cfg.machine.state_dim
-    next_states = tuple(
-        tuple(per_machine[j][mk] for j in range(sd)) for mk in range(k))
-    outputs = tuple(
-        tuple(per_machine[j][mk] for j in range(sd, dim)) for mk in range(k))
-    return RoundResult(True, next_states, outputs, g_values,
-                       tau if tau is not None else frozenset())
+        return RoundResult.failed(g_values, violation)
+    claim = decode_claim(g_values, cfg, budget, mode)
+    if claim is None:
+        return RoundResult.failed(g_values, DECODE_FAILURE)
+    return claim.round_result(g_values, cfg)
 
 
 def update_coded_states(decoded_states, cfg: CodingConfig):

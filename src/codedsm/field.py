@@ -46,9 +46,6 @@ class OpCounter:
     def total(self) -> int:
         return self.adds + self.muls + self.invs
 
-    def copy(self) -> "OpCounter":
-        return OpCounter(self.adds, self.muls, self.invs)
-
     def reset(self) -> None:
         self.adds = self.muls = self.invs = 0
 
@@ -140,9 +137,6 @@ class CounterBoard:
 
     def reset(self) -> None:
         self.counters.clear()
-
-    def snapshot(self) -> dict[tuple[str, str], OpCounter]:
-        return {k: c.copy() for k, c in self.counters.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -406,9 +400,6 @@ class Field:
 
     def rand(self, rng: random.Random) -> int:
         return rng.randrange(self.order)
-
-    def rand_nonzero(self, rng: random.Random) -> int:
-        return rng.randrange(1, self.order)
 
     def embed_bit(self, b: int) -> int:
         raise ConfigurationError("bit embedding requires a binary extension field")
@@ -749,19 +740,9 @@ class FieldElement:
         return f"FieldElement({self.value} in {self.field!r})"
 
 
-# Convenient defaults used throughout the simulations and tests:
-# a word-sized Mersenne prime field, a tiny prime field for worked examples,
-# and a byte-sized binary field.
-def default_prime_field() -> PrimeField:
-    return PrimeField((1 << 31) - 1)
-
-
+# A tiny prime field for worked examples.
 def f11() -> PrimeField:
     return PrimeField(11)
-
-
-def gf256() -> BinaryField:
-    return BinaryField(8)
 
 
 def parse_field(spec: str) -> Field:

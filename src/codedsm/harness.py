@@ -12,6 +12,7 @@ quoting the design value.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import random
 import sys
@@ -22,7 +23,6 @@ from pathlib import Path
 from .baseline import ReplicationConfig, run_replicated_round
 from .csm import (
     CodingConfig,
-    _as_fraction,
     decode_round,
     encode_commands,
     encode_states,
@@ -31,7 +31,14 @@ from .csm import (
 )
 from .field import ConfigurationError, parse_field, uncounted
 from .machine import make_machine
-from .simnet import ExperimentConfig, ExperimentResult, run_experiment
+from .simnet import (
+    CONFIG_KEYS,
+    PROTOCOLS,
+    ExperimentConfig,
+    ExperimentResult,
+    read_bool,
+    run_experiment,
+)
 
 CSV_SCHEMA = "codedsm.metrics.v1"
 CSV_COLUMNS = ("protocol", "N", "K", "d", "fault_fraction", "setting",
@@ -260,95 +267,44 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     run = sub.add_parser("run", help="simulate and write metrics")
     which = run.add_mutually_exclusive_group()
-    which.add_argument("--protocol", choices=("csm", "full", "partial"))
+    for c in CONFIG_KEYS:
+        # a bare boolean flag (--delegate) means true
+        bare = {"nargs": "?", "const": "true"} if c.read is read_bool else {}
+        (which if c.key == "protocol" else run).add_argument(
+            c.flag, dest=c.key, help=c.help, **bare)
     which.add_argument("--compare", metavar="P1,P2,...",
                        help="comma-separated protocols, one CSV row each")
-    run.add_argument("--n", type=int, help="number of nodes")
-    run.add_argument("--k", type=int, help="number of machines")
-    run.add_argument("--d", type=int, help="transition degree")
-    run.add_argument("--machine", help="bundled machine name")
-    run.add_argument("--field", default="prime:2147483647")
-    run.add_argument("--mu", default=None,
-                     help="fault fraction, e.g. 0.1 or 1/4")
-    run.add_argument("--b", type=int, help="explicit fault budget")
-    run.add_argument("--setting", choices=("sync", "psync"),
-                     default="sync")
-    run.add_argument("--channel", choices=("broadcast", "p2p"),
-                     default="broadcast")
-    run.add_argument("--adversary", default="none")
-    run.add_argument("--rounds", type=int, default=10)
-    run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--delegate", action="store_true",
-                     help="verified worker coding instead of local coding")
-    run.add_argument("--eps", type=float, default=1e-3)
-    run.add_argument("--poly-mode", choices=("auto", "naive", "fast"),
-                     default="auto")
     run.add_argument("--sweep-beta", action="store_true",
                      help="search for the breaking fault count (N <= 20)")
     run.add_argument("--config", type=Path,
-                     help="key=value experiment file; flags override")
+                     help="key=value experiment file; given flags override")
     run.add_argument("--out", type=Path, required=True,
                      help="output directory for CSV and logs")
     return parser
 
 
-_CONFIG_FIELDS = ("protocol", "n_nodes", "k_machines", "degree", "machine",
-                  "field_spec", "fault_fraction", "b", "setting", "channel",
-                  "adversary", "rounds", "seed", "delegate", "eps",
-                  "poly_mode")
-
-# flags whose absence is indistinguishable from their default; a config
-# file's value wins unless the flag differs from that default
-_DEFAULTED_FLAGS = {"field": ("field_spec", "prime:2147483647"),
-                    "setting": ("setting", "sync"),
-                    "channel": ("channel", "broadcast"),
-                    "adversary": ("adversary", "none"),
-                    "rounds": ("rounds", 10), "seed": ("seed", 0),
-                    "delegate": ("delegate", False), "eps": ("eps", 1e-3),
-                    "poly_mode": ("poly_mode", "auto")}
-
-
 def _config_from_args(args, protocol: str) -> ExperimentConfig:
+    """The config file's settings, then every flag that was given."""
+    given = {c.field: c.value(v, c.flag) for c in CONFIG_KEYS
+             if (v := getattr(args, c.key)) is not None}
+    given["protocol"] = protocol
     if args.config is not None:
-        base = ExperimentConfig.from_file(args.config)
-        merged = {f: getattr(base, f) for f in _CONFIG_FIELDS}
-    else:
-        if args.n is None:
-            raise ConfigurationError("--n is required without --config")
-        merged = {f: None for f in _CONFIG_FIELDS}
-        merged["n_nodes"] = args.n
-    merged["protocol"] = protocol
-    for flag, (fieldname, default) in _DEFAULTED_FLAGS.items():
-        val = getattr(args, flag)
-        if args.config is None or val != default:
-            merged[fieldname] = val
-    if merged.get("fault_fraction") is None:
-        merged["fault_fraction"] = 0
-    if args.n is not None:
-        merged["n_nodes"] = args.n
-    if args.k is not None:
-        merged["k_machines"] = args.k
-    if args.d is not None:
-        merged["degree"] = args.d
-    if args.machine is not None:
-        merged["machine"] = args.machine
-    if args.mu is not None:
-        merged["fault_fraction"] = _as_fraction(Fraction(args.mu))
-    if args.b is not None:
-        merged["b"] = args.b
-    return ExperimentConfig(**merged)
+        return dataclasses.replace(ExperimentConfig.from_file(args.config),
+                                   **given)
+    if "n_nodes" not in given:
+        raise ConfigurationError("--n is required without --config")
+    return ExperimentConfig(**given)
 
 
-def _compare_k(cfg: ExperimentConfig, requested_k: int | None,
-               machine_degree: int) -> int:
+def _compare_k(cfg: ExperimentConfig, machine_degree: int) -> int:
     """K per protocol in a comparison row: replication keeps the requested
     K, the coded run takes everything its capacity formula allows. With no
     request, replication matches the coded K so rows share a workload."""
     capacity = max_machines(cfg.n_nodes, cfg.fault_fraction,
                             machine_degree, cfg.setting)
-    if cfg.protocol == "csm" or requested_k is None:
+    if cfg.protocol == "csm" or cfg.k_machines is None:
         return capacity
-    return requested_k
+    return cfg.k_machines
 
 
 def write_csv(path: Path, records: list[MetricsRecord]) -> None:
@@ -379,7 +335,7 @@ def run_cli(argv=None) -> int:
     else:
         parser.error("one of the arguments --protocol --compare is required")
     for p in protocols:
-        if p not in ("csm", "full", "partial"):
+        if p not in PROTOCOLS:
             parser.error(f"unknown protocol {p!r}")
 
     out: Path = args.out
@@ -392,10 +348,8 @@ def run_cli(argv=None) -> int:
             if args.compare is not None:
                 machine = make_machine(cfg.machine_name(),
                                        parse_field(cfg.field_spec))
-                k = _compare_k(cfg, args.k, machine.total_degree())
-                fields = {f: getattr(cfg, f) for f in _CONFIG_FIELDS}
-                fields["k_machines"] = k
-                cfg = ExperimentConfig(**fields)
+                k = _compare_k(cfg, machine.total_degree())
+                cfg = dataclasses.replace(cfg, k_machines=k)
             result = run_experiment(cfg)
             beta = None
             if args.sweep_beta:

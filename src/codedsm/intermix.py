@@ -22,10 +22,17 @@ import math
 import random
 from dataclasses import dataclass, field as dc_field
 
-from .csm import CodingConfig, RoundResult, decode_budget
+from .csm import (
+    DECODE_FAILURE,
+    CodingConfig,
+    DecodeClaim,
+    RoundResult,
+    decode_budget,
+    decode_claim,
+)
 from .field import ConfigurationError, CounterBoard, Field, OpCounter, counting
 from .poly import DensePoly, interpolate, multipoint_eval
-from .rs import DecodeFailure, NoisyCodeword, decode
+from .rs import decode  # noqa: F401  (perfbench/tracer.py wraps this name)
 
 
 # ---------------------------------------------------------------------------
@@ -642,54 +649,6 @@ def delegated_update(decoded_states, dele: Delegation) -> DelegationOutcome:
 
 # -- decode claims ----------------------------------------------------------
 
-@dataclass(frozen=True)
-class DecodeClaim:
-    """What a decoding worker announces: an agreement set, the recovered
-    coefficient vectors (one per flat coordinate, padded to the composite
-    degree bound plus one), and the decoded per-machine evaluations."""
-
-    tau: tuple[int, ...]
-    coeffs: tuple[tuple[int, ...], ...]
-    evals: tuple[tuple[int, ...], ...]   # K rows, flat_dim columns
-
-    def to_json(self) -> str:
-        return json.dumps({"tau": list(self.tau),
-                           "coeffs": [list(c) for c in self.coeffs],
-                           "evals": [list(e) for e in self.evals]})
-
-    @staticmethod
-    def from_json(text: str) -> "DecodeClaim":
-        d = json.loads(text)
-        return DecodeClaim(tuple(d["tau"]),
-                           tuple(tuple(c) for c in d["coeffs"]),
-                           tuple(tuple(e) for e in d["evals"]))
-
-
-def honest_decode_claim(g_values, cfg: CodingConfig, budget: int,
-                        mode: str = "auto") -> DecodeClaim | None:
-    """Decode every coordinate; None when any coordinate is undecodable."""
-    dim = cfg.flat_dim
-    polys = []
-    tau = None
-    for j in range(dim):
-        values = tuple(None if g is None else g[j] for g in g_values)
-        cw = NoisyCodeword(cfg.field, cfg.domain.alphas, values,
-                           cfg.degree_bound, budget)
-        try:
-            res = decode(cw, mode)
-        except DecodeFailure:
-            return None
-        polys.append(res.poly)
-        tau = res.agreement if tau is None else tau & res.agreement
-    width = cfg.degree_bound + 1
-    coeffs = tuple(tuple(p.coeffs) + (0,) * (width - len(p.coeffs))
-                   for p in polys)
-    per = [multipoint_eval(p, list(cfg.domain.omegas), mode) for p in polys]
-    evals = tuple(tuple(per[j][mk] for j in range(dim))
-                  for mk in range(cfg.k_machines))
-    return DecodeClaim(tuple(sorted(tau)), coeffs, evals)
-
-
 def verify_decode_claim(g_values, claim: DecodeClaim, cfg: CodingConfig,
                         defender: int, committee_members, dele: Delegation,
                         reply: str = "truthful",
@@ -761,15 +720,6 @@ def _tampered_claim(claim: DecodeClaim, strategy: WorkerStrategy,
                        claim.evals)
 
 
-def _claim_to_round(claim: DecodeClaim, g_values,
-                    cfg: CodingConfig) -> RoundResult:
-    sd = cfg.machine.state_dim
-    next_states = tuple(e[:sd] for e in claim.evals)
-    outputs = tuple(e[sd:] for e in claim.evals)
-    return RoundResult(True, next_states, outputs, tuple(g_values),
-                       frozenset(claim.tau))
-
-
 def delegated_decode(g_values, dele: Delegation) -> DelegationOutcome:
     """Round decoding done once by an elected worker, checked by audits.
 
@@ -782,8 +732,7 @@ def delegated_decode(g_values, dele: Delegation) -> DelegationOutcome:
     cfg = dele.cfg
     g_values, budget, violation = decode_budget(g_values, cfg)
     if violation is not None:
-        rr = RoundResult(False, None, None, g_values, None,
-                         violation=violation)
+        rr = RoundResult.failed(g_values, violation)
         return DelegationOutcome(True, rr, violation, None, 0, 0, ())
 
     def task(w, strategy, committee):
@@ -791,7 +740,7 @@ def delegated_decode(g_values, dele: Delegation) -> DelegationOutcome:
         if strategy.fail_claim and strategy.reply == "silent":
             return False, None, "worker-nonresponsive", comparisons
         with dele.board.scope(f"node{w}", "psi"):
-            honest = honest_decode_claim(g_values, cfg, budget, dele.mode)
+            honest = decode_claim(g_values, cfg, budget, dele.mode)
         announced = None if strategy.fail_claim else honest
         if announced is not None and strategy.deltas:
             announced = _tampered_claim(announced, strategy, cfg.field)
@@ -802,8 +751,7 @@ def delegated_decode(g_values, dele: Delegation) -> DelegationOutcome:
                 if dele.auditor_policy(node) != "honest":
                     continue
                 with dele.board.scope(f"node{node}", "psi"):
-                    counter = honest_decode_claim(g_values, cfg, budget,
-                                                  dele.mode)
+                    counter = decode_claim(g_values, cfg, budget, dele.mode)
                 if counter is None:
                     continue
                 others = AuditCommittee(
@@ -814,9 +762,7 @@ def delegated_decode(g_values, dele: Delegation) -> DelegationOutcome:
                 comparisons += comps
                 if ok:
                     return False, None, "false failure claim", comparisons
-            rr = RoundResult(False, None, None, g_values, None,
-                             violation="decode failure (fault budget "
-                                       "exceeded)")
+            rr = RoundResult.failed(g_values, DECODE_FAILURE)
             return True, rr, "decode-failure-concurred", comparisons
         ok, reason, comps = verify_decode_claim(
             g_values, announced, cfg, w, committee, dele,
@@ -824,13 +770,12 @@ def delegated_decode(g_values, dele: Delegation) -> DelegationOutcome:
         comparisons += comps
         if not ok:
             return False, None, reason, comparisons
-        return True, _claim_to_round(announced, g_values, cfg), reason, \
+        return True, announced.round_result(g_values, cfg), reason, \
             comparisons
 
     out = _attempt_loop(dele, task)
     if not out.accepted:
-        rr = RoundResult(False, None, None, g_values, None,
-                         violation=f"delegation failed: {out.reason}")
+        rr = RoundResult.failed(g_values, f"delegation failed: {out.reason}")
         return DelegationOutcome(False, rr, out.reason, None, out.attempts,
                                  out.comparisons, out.rejected_workers)
     return out

@@ -24,12 +24,13 @@ from .field import ConfigurationError, Field, Table, active_counter, uncounted
 
 KARATSUBA_BASE = 8   # sizes at or below this multiply schoolbook-style
 AUTO_FAST_MIN = 32   # `auto` mode switches to the fast path at this size
+MODES = ("auto", "naive", "fast")
 
 
 def _resolve(mode: str, n: int) -> str:
     if mode == "auto":
         return "fast" if n >= AUTO_FAST_MIN else "naive"
-    if mode not in ("naive", "fast"):
+    if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     return mode
 
@@ -191,12 +192,10 @@ def _divmod_fast(a: list[int], b: list[int], f: Field):
     return q, _trim(r)
 
 
-def _rem(a: list[int], b: list[int], f: Field, mode: str) -> list[int]:
+def _rem(a: list[int], b: list[int], f: Field) -> list[int]:
     if len(a) - 1 < len(b) - 1:
         return list(a)
-    if mode == "fast":
-        return _divmod_fast(a, b, f)[1]
-    return _divmod_naive(a, b, f)[1]
+    return _divmod_fast(a, b, f)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -210,15 +209,14 @@ class SubproductTree:
     adjacent nodes, carrying an unpaired trailing node up unchanged.
     """
 
-    def __init__(self, xs: Sequence[int], f: Field, mode: str = "fast"):
+    def __init__(self, xs: Sequence[int], f: Field):
         self.field = f
         self.xs = list(xs)
-        self.mode = mode
         level = [[f.neg(x), 1] for x in xs]
         self.levels = [level]
         while len(level) > 1:
             nxt = [
-                _mul(level[i], level[i + 1], f, mode)
+                _mul_kar(level[i], level[i + 1], f)
                 for i in range(0, len(level) - 1, 2)
             ]
             if len(level) % 2:
@@ -232,24 +230,24 @@ class SubproductTree:
 
     def remainders(self, p: list[int]) -> list[int]:
         """Evaluate p at every tree point by repeated remaindering."""
-        f, mode = self.field, self.mode
-        cur = [_rem(p, self.root, f, mode)]
+        f = self.field
+        cur = [_rem(p, self.root, f)]
         for lev in range(len(self.levels) - 2, -1, -1):
             nodes = self.levels[lev]
-            cur = [_rem(cur[j // 2], nodes[j], f, mode)
+            cur = [_rem(cur[j // 2], nodes[j], f)
                    for j in range(len(nodes))]
         return [c[0] if c else 0 for c in cur]
 
     def combine(self, ws: Sequence[int]) -> list[int]:
         """Build sum_i w_i * prod_{j != i} (z - x_j) bottom-up."""
-        f, mode = self.field, self.mode
+        f = self.field
         cur: list[list[int]] = [[w] for w in ws]
         for lev in range(len(self.levels) - 1):
             nodes = self.levels[lev]
             nxt = []
             for i in range(0, len(nodes) - 1, 2):
-                left = _mul(cur[i], nodes[i + 1], f, mode)
-                right = _mul(cur[i + 1], nodes[i], f, mode)
+                left = _mul_kar(cur[i], nodes[i + 1], f)
+                right = _mul_kar(cur[i + 1], nodes[i], f)
                 nxt.append(_ladd(left, right, f))
             if len(nodes) % 2:
                 nxt.append(cur[-1])
@@ -297,7 +295,7 @@ def _interp_naive(xs, ys, f: Field) -> list[int]:
 
 
 def _interp_fast(xs, ys, f: Field) -> list[int]:
-    tree = SubproductTree(xs, f, "fast")
+    tree = SubproductTree(xs, f)
     dens = tree.remainders(_deriv(tree.root, f))
     ws = [f.mul(y, f.inv(d)) for y, d in zip(ys, dens)]
     return tree.combine(ws)
@@ -328,7 +326,7 @@ def multipoint_eval(poly: "DensePoly", xs: Sequence[int],
         f.check(x)
     m = _resolve(mode, len(xs))
     if m == "fast" and len(xs) > 1:
-        return SubproductTree(xs, f, "fast").remainders(list(poly.coeffs))
+        return SubproductTree(xs, f).remainders(list(poly.coeffs))
     return [_eval_at(list(poly.coeffs), x, f) for x in xs]
 
 
@@ -394,9 +392,6 @@ class DensePoly:
         self._want(other)
         q, r = _divmod_naive(list(self.coeffs), list(other.coeffs), self.field)
         return DensePoly(self.field, q), DensePoly(self.field, r)
-
-    def derivative(self) -> "DensePoly":
-        return DensePoly(self.field, _deriv(list(self.coeffs), self.field))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, DensePoly) and self.field == other.field \

@@ -17,7 +17,8 @@ import hashlib
 import json
 import random
 from collections import deque
-from dataclasses import dataclass, field as dc_field
+from collections.abc import Callable
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .baseline import ReplicationConfig, run_replicated_round
@@ -51,6 +52,7 @@ from .intermix import (
     delegated_update,
 )
 from .machine import MACHINES, make_machine
+from .poly import MODES as POLY_MODES
 
 PROTOCOLS = ("csm", "full", "partial")
 CHANNELS = ("broadcast", "p2p")
@@ -196,8 +198,65 @@ class EventLog:
 # experiment configuration
 # ---------------------------------------------------------------------------
 
-_BOOLS = {"true": True, "1": True, "yes": True,
-          "false": False, "0": False, "no": False}
+def read_bool(text: str) -> bool:
+    word = text.lower()
+    if word in ("true", "1", "yes"):
+        return True
+    if word in ("false", "0", "no"):
+        return False
+    raise ValueError(f"not a boolean: {text!r}")
+
+
+@dataclass(frozen=True)
+class ConfigKey:
+    """One experiment setting: its key in config files, the
+    ExperimentConfig field it sets, and how its value reads from and
+    writes to text. The key, with ``_`` as ``-``, is also its
+    ``codedsm run`` flag."""
+
+    key: str
+    field: str
+    read: Callable[[str], object] = str
+    write: Callable[[object], str] = str
+    help: str | None = None
+
+    @property
+    def flag(self) -> str:
+        return "--" + self.key.replace("_", "-")
+
+    def value(self, text: str, where: str):
+        """The field value ``text`` spells; ``where`` names its source."""
+        try:
+            return self.read(text)
+        except (ValueError, ArithmeticError):
+            raise ConfigurationError(
+                f"{where}: bad value {text!r} for {self.key}") from None
+
+
+# One row per ExperimentConfig field: the config file format, the CLI
+# flags and their merge are all derived from this table.
+CONFIG_KEYS = (
+    ConfigKey("protocol", "protocol", help="csm, full or partial"),
+    ConfigKey("n", "n_nodes", int, help="number of nodes"),
+    ConfigKey("k", "k_machines", int, help="number of machines"),
+    ConfigKey("d", "degree", int, help="transition degree"),
+    ConfigKey("machine", "machine", help="bundled machine name"),
+    ConfigKey("field", "field_spec", help="prime:P or binary:m"),
+    ConfigKey("mu", "fault_fraction", Fraction,
+              help="fault fraction, e.g. 0.1 or 1/4"),
+    ConfigKey("b", "b", int, help="explicit fault budget"),
+    ConfigKey("setting", "setting", help="sync or psync"),
+    ConfigKey("channel", "channel", help="broadcast or p2p"),
+    ConfigKey("adversary", "adversary", help="Byzantine strategy"),
+    ConfigKey("rounds", "rounds", int, help="rounds to run"),
+    ConfigKey("seed", "seed", int, help="experiment seed"),
+    ConfigKey("delegate", "delegate", read_bool, lambda v: str(v).lower(),
+              help="verified worker coding instead of local coding"),
+    ConfigKey("eps", "eps", float, repr,
+              help="chance that a whole audit committee is Byzantine"),
+    ConfigKey("poly_mode", "poly_mode",
+              help="polynomial arithmetic: auto, naive or fast"),
+)
 
 
 @dataclass(frozen=True)
@@ -229,6 +288,9 @@ class ExperimentConfig:
         if self.adversary not in ADVERSARIES:
             raise ConfigurationError(
                 f"adversary must be one of {ADVERSARIES}")
+        if self.poly_mode not in POLY_MODES:
+            raise ConfigurationError(
+                f"poly_mode must be one of {POLY_MODES}")
         if self.rounds < 1 or self.n_nodes < 1:
             raise ConfigurationError("need at least one round and one node")
         if self.delegate and self.channel != "broadcast":
@@ -248,23 +310,9 @@ class ExperimentConfig:
 
     # -- plain-text key=value form -------------------------------------
 
-    _KEYS = ("protocol", "n", "k", "d", "machine", "field", "mu", "b",
-             "setting", "channel", "adversary", "rounds", "seed",
-             "delegate", "eps", "poly_mode")
-
     def to_text(self) -> str:
-        vals = {
-            "protocol": self.protocol, "n": self.n_nodes,
-            "k": self.k_machines, "d": self.degree,
-            "machine": self.machine, "field": self.field_spec,
-            "mu": str(self.fault_fraction), "b": self.b,
-            "setting": self.setting, "channel": self.channel,
-            "adversary": self.adversary, "rounds": self.rounds,
-            "seed": self.seed, "delegate": str(self.delegate).lower(),
-            "eps": repr(self.eps), "poly_mode": self.poly_mode,
-        }
-        lines = [f"{k} = {vals[k]}" for k in self._KEYS
-                 if vals[k] is not None]
+        lines = [f"{c.key} = {c.write(v)}" for c in CONFIG_KEYS
+                 if (v := getattr(self, c.field)) is not None]
         return "\n".join(lines) + "\n"
 
     @staticmethod
@@ -278,40 +326,26 @@ class ExperimentConfig:
                 raise ConfigurationError(
                     f"line {lineno}: expected key = value, got {raw!r}")
             key, val = (s.strip() for s in line.split("=", 1))
-            kv[key] = val
-        unknown = set(kv) - set(ExperimentConfig._KEYS)
+            kv[key] = (lineno, val)
+        by_key = {c.key: c for c in CONFIG_KEYS}
+        unknown = set(kv) - set(by_key)
         if unknown:
             raise ConfigurationError(
                 f"unknown config keys: {sorted(unknown)}")
         if "protocol" not in kv or "n" not in kv:
             raise ConfigurationError("config needs protocol and n")
-
-        def geti(key):
-            return int(kv[key]) if key in kv else None
-
-        return ExperimentConfig(
-            protocol=kv["protocol"],
-            n_nodes=int(kv["n"]),
-            k_machines=geti("k"),
-            degree=geti("d"),
-            machine=kv.get("machine"),
-            field_spec=kv.get("field", "prime:2147483647"),
-            fault_fraction=Fraction(kv["mu"]) if "mu" in kv else 0,
-            b=geti("b"),
-            setting=kv.get("setting", "sync"),
-            channel=kv.get("channel", "broadcast"),
-            adversary=kv.get("adversary", "none"),
-            rounds=geti("rounds") or 10,
-            seed=geti("seed") or 0,
-            delegate=_BOOLS[kv.get("delegate", "false").lower()],
-            eps=float(kv.get("eps", "1e-3")),
-            poly_mode=kv.get("poly_mode", "auto"),
-        )
+        return ExperimentConfig(**{
+            by_key[key].field: by_key[key].value(val, f"line {lineno}")
+            for key, (lineno, val) in kv.items()})
 
     @staticmethod
     def from_file(path) -> "ExperimentConfig":
-        with open(path) as fh:
-            return ExperimentConfig.parse(fh.read())
+        try:
+            with open(path) as fh:
+                text = fh.read()
+        except (OSError, ValueError) as exc:
+            raise ConfigurationError(f"cannot read {path}: {exc}") from None
+        return ExperimentConfig.parse(text)
 
 
 def set_channel_mode(config: ExperimentConfig,
@@ -402,6 +436,8 @@ def _derive_sizes(config: ExperimentConfig, machine):
             f"machine {machine!r} has degree {d}, config says "
             f"{config.degree}")
     b = config.b if config.b is not None else int(frac * n)
+    if not 0 <= b <= n:
+        raise ConfigurationError(f"fault budget {b} outside 0..{n}")
     if config.k_machines is not None:
         k = config.k_machines
     elif config.protocol == "csm":
@@ -600,7 +636,8 @@ def _run_csm(config, machine, k, b, timing, adversary, log, board,
         # reconstruction
         if equivocating:
             result, extra = _decode_per_receiver(
-                g_honest, coding, adversary, rnd, timing, b, board)
+                g_honest, coding, adversary, rnd, timing, b, board,
+                config.poly_mode)
             violations.extend(extra)
         elif dele is not None:
             out = delegated_decode(base_view, dele)
@@ -608,7 +645,7 @@ def _run_csm(config, machine, k, b, timing, adversary, log, board,
         else:
             probe = OpCounter()
             with counting(probe):
-                result = decode_round(base_view, coding)
+                result = decode_round(base_view, coding, config.poly_mode)
             with board.scope("net", "psi"):  # every node runs the decoder
                 charge(adds=probe.adds * n, muls=probe.muls * n,
                        invs=probe.invs * n)
@@ -651,7 +688,7 @@ def _run_csm(config, machine, k, b, timing, adversary, log, board,
 
 
 def _decode_per_receiver(g_honest, coding, adversary, rnd, timing, b,
-                         board):
+                         board, mode):
     """Point-to-point equivocation: each honest receiver decodes its own
     view; reconstructions must nonetheless agree."""
     n = coding.n_nodes
@@ -670,7 +707,7 @@ def _decode_per_receiver(g_honest, coding, adversary, rnd, timing, b,
                                         adversary.stream("sched", rnd,
                                                          receiver)))
         with board.scope("net", "psi"):
-            outcomes.append(decode_round(view, coding))
+            outcomes.append(decode_round(view, coding, mode))
     first = outcomes[0]
     for other in outcomes[1:]:
         same = (other.success == first.success

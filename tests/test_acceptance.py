@@ -18,6 +18,7 @@ from codedsm.boolfunc import (
 )
 from codedsm.csm import (
     CodingConfig,
+    decode_claim,
     decode_round,
     encode_commands,
     encode_states,
@@ -41,7 +42,6 @@ from codedsm.intermix import (
     commoner_check,
     delegated_decode,
     elect_committee,
-    honest_decode_claim,
     intermix_cost,
     run_session,
     verify_decode_claim,
@@ -294,7 +294,7 @@ def test_criterion_6_delegated_decode():
         n = coding.n_nodes
         present = [v for v in g if v is not None]
         budget = coding.b - (n - len(present))
-        claim = honest_decode_claim(g, coding, max(budget, 0))
+        claim = decode_claim(g, coding, max(budget, 0))
         if claim is None:
             continue
         dele = Delegation(coding, beacon=random.Random(trial),

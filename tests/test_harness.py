@@ -16,7 +16,7 @@ from codedsm.harness import (
     sweep_security,
     write_csv,
 )
-from codedsm.simnet import ExperimentConfig, run_experiment
+from codedsm.simnet import EventLog, ExperimentConfig, run_experiment
 
 
 # ---------------------------------------------------------------------------
@@ -219,3 +219,76 @@ def test_cli_takes_protocol_from_config_alone(tmp_path):
     log = "csm_n10_seed1.jsonl"
     assert (tmp_path / "a" / log).read_bytes() == \
         (tmp_path / "b" / log).read_bytes()
+
+
+def _write_cfg(tmp_path, **kw):
+    base = dict(protocol="csm", n_nodes=10, degree=2,
+                fault_fraction=Fraction(1, 5), rounds=2, seed=5)
+    base.update(kw)
+    path = tmp_path / "exp.cfg"
+    path.write_text(ExperimentConfig(**base).to_text())
+    return path
+
+
+def _header(path):
+    return EventLog.from_jsonl(path.read_text()).of("header")[0]
+
+
+def test_cli_given_flag_beats_file_even_at_its_default(tmp_path):
+    path = _write_cfg(tmp_path)
+    run_cli(["run", "--config", str(path), "--seed", "0",
+             "--out", str(tmp_path / "o")])
+    (row,) = read_csv(tmp_path / "o" / "metrics.csv")
+    assert row["seed"] == "0"
+    assert (tmp_path / "o" / "csm_n10_seed0.jsonl").exists()
+
+
+def test_cli_boolean_flag_bare_or_with_value(tmp_path):
+    path = _write_cfg(tmp_path, degree=1, delegate=True)
+    run_cli(["run", "--config", str(path), "--delegate", "false",
+             "--out", str(tmp_path / "a")])
+    assert _header(tmp_path / "a" / "csm_n10_seed5.jsonl")["delegate"] is False
+    path = _write_cfg(tmp_path, degree=1)
+    run_cli(["run", "--config", str(path), "--delegate",
+             "--out", str(tmp_path / "b")])
+    assert _header(tmp_path / "b" / "csm_n10_seed5.jsonl")["delegate"] is True
+
+
+@pytest.mark.parametrize("line", ["n = four", "delegate = maybe", "mu = x",
+                                  "eps = e", "rounds = 0"])
+def test_cli_refuses_bad_config_values(tmp_path, line):
+    path = _write_cfg(tmp_path)
+    path.write_text(path.read_text() + line + "\n")
+    for protocol in ([], ["--protocol", "csm"]):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["run", "--config", str(path), *protocol,
+                     "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("flags", [["--n", "four"], ["--mu", "x"],
+                                   ["--eps", "e"], ["--delegate", "maybe"],
+                                   ["--poly-mode", "bogus"],
+                                   ["--setting", "eventually"]])
+def test_cli_refuses_unreadable_flags(tmp_path, flags):
+    argv = ["run", "--protocol", "csm", "--n", "10", "--d", "2",
+            "--rounds", "2", *flags, "--out", str(tmp_path)]
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv)
+    assert exc.value.code == 2
+
+
+def test_cli_refuses_missing_config_file(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["run", "--config", str(tmp_path / "absent.cfg"),
+                 "--out", str(tmp_path)])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("flags", [["--b", "-1"], ["--b", "11"],
+                                   ["--mu", "-1"]])
+def test_cli_refuses_fault_budget_outside_node_count(tmp_path, flags):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["run", "--protocol", "full", "--n", "10", *flags,
+                 "--out", str(tmp_path)])
+    assert exc.value.code == 2

@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 
 from codedsm.csm import (
     CodingConfig,
+    DecodeClaim,
+    decode_claim,
     decode_round,
     encode_commands,
     encode_states,
@@ -30,7 +32,6 @@ from codedsm.field import (
 )
 from codedsm.intermix import (
     AuditTranscript,
-    DecodeClaim,
     Delegation,
     Worker,
     WorkerStrategy,
@@ -41,7 +42,6 @@ from codedsm.intermix import (
     delegated_encode,
     delegated_update,
     elect_committee,
-    honest_decode_claim,
     intermix_cost,
     run_session,
     verify_decode_claim,
@@ -456,7 +456,7 @@ def test_fabricated_decode_claims_rejected():
     _, _, g = run_one_round(cfg, rng)
     g = corrupt(g, cfg, rng, 2)
     missing = sum(1 for v in g if v is None)
-    honest = honest_decode_claim(g, cfg, cfg.b - missing)
+    honest = decode_claim(g, cfg, cfg.b - missing)
     assert honest is not None
     committee = elect_committee(cfg.n_nodes, cfg.fault_fraction, 1e-3,
                                 random.Random(2), worker=5)

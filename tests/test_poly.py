@@ -189,7 +189,7 @@ def test_karatsuba_equals_schoolbook():
 
 def test_subproduct_tree_root():
     xs = [3, 4, 5]
-    tree = SubproductTree(xs, F11, "naive")
+    tree = SubproductTree(xs, F11)
     expect = DensePoly.const(F11, 1)
     for x in xs:
         expect = expect * DensePoly(F11, [F11.neg(x), 1])

@@ -1,6 +1,7 @@
 """Simulator tests: determinism, the adversary catalog, timing modes,
 config files, and violation flagging."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ import pytest
 from codedsm.field import ConfigurationError, parse_field
 from codedsm.machine import make_machine
 from codedsm.simnet import (
+    CONFIG_KEYS,
     AdversaryModel,
     CommandPool,
     EventLog,
@@ -365,11 +367,23 @@ def test_setup_encoding_kept_out_of_round_phases():
 def test_config_text_round_trip(tmp_path):
     cfg = _cfg(adversary="equivocate", channel="p2p", setting="psync",
                fault_fraction=Fraction(1, 10), degree=1)
-    text = cfg.to_text()
-    assert ExperimentConfig.parse(text) == cfg
-    p = tmp_path / "exp.cfg"
-    p.write_text(text)
-    assert ExperimentConfig.from_file(p) == cfg
+    # every other field off its default (delegation needs broadcast)
+    every = ExperimentConfig(
+        protocol="partial", n_nodes=12, k_machines=3, degree=2,
+        machine="product", field_spec="prime:65537",
+        fault_fraction=Fraction(1, 4), b=2, setting="psync",
+        adversary="false_audit", rounds=4, seed=9, delegate=True, eps=0.25,
+        poly_mode="naive")
+    default = ExperimentConfig(protocol="csm", n_nodes=1)
+    for f in dataclasses.fields(ExperimentConfig):
+        off = cfg if f.name == "channel" else every
+        assert getattr(off, f.name) != getattr(default, f.name), f.name
+    for c in (cfg, every):
+        text = c.to_text()
+        assert ExperimentConfig.parse(text) == c
+        p = tmp_path / "exp.cfg"
+        p.write_text(text)
+        assert ExperimentConfig.from_file(p) == c
 
 
 def test_config_parse_accepts_comments_and_blanks():
@@ -389,6 +403,43 @@ def test_config_parse_rejects_junk():
         ExperimentConfig.parse("rounds = 4\n")
     with pytest.raises(ConfigurationError, match="protocol"):
         ExperimentConfig.parse("protocol = raft\nn = 4\n")
+
+
+def test_every_config_field_has_one_table_row():
+    rows = sorted(c.field for c in CONFIG_KEYS)
+    assert rows == sorted(f.name for f in dataclasses.fields(
+        ExperimentConfig))
+    assert len({c.key for c in CONFIG_KEYS}) == len(CONFIG_KEYS)
+
+
+def test_config_parse_refuses_zero_rounds():
+    with pytest.raises(ConfigurationError, match="one round"):
+        ExperimentConfig.parse("protocol = csm\nn = 4\nrounds = 0\n")
+
+
+@pytest.mark.parametrize("line", ["n = four", "delegate = maybe", "mu = x",
+                                  "eps = e", "mu = 1/0"])
+def test_config_parse_refuses_unreadable_values(line):
+    with pytest.raises(ConfigurationError, match="line 3"):
+        ExperimentConfig.parse("protocol = csm\nn = 4\n" + line + "\n")
+
+
+def test_poly_mode_is_validated():
+    with pytest.raises(ConfigurationError, match="poly_mode"):
+        _cfg(poly_mode="bogus")
+
+
+@pytest.mark.parametrize("kw", [
+    dict(n_nodes=30, fault_fraction=Fraction(1, 10), adversary="corrupt"),
+    dict(channel="p2p", adversary="equivocate"),
+])
+def test_poly_mode_applies_to_direct_decoding(kw):
+    naive = run_experiment(_cfg(rounds=2, poly_mode="naive", **kw))
+    fast = run_experiment(_cfg(rounds=2, poly_mode="fast", **kw))
+    assert naive.ok and fast.ok
+    assert naive.log.to_jsonl() == fast.log.to_jsonl()
+    psi = [r.board.get(phase="psi").total() for r in (naive, fast)]
+    assert psi[0] != psi[1]
 
 
 def test_adversary_model_validates_strategy():
