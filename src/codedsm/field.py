@@ -11,10 +11,12 @@ if any.  The simulation layer switches counters when it runs code on behalf
 of a node, a worker, or an auditor, which is how per-role complexity is
 measured without threading counter objects through every call site.
 
-Bulk arithmetic (power tables of public points, matrix-vector products and
-linear solves) lives here too, in each field's ``kernels``.  The field
-picks them once, at construction: int64 numpy code where it is exact
-(prime p with p^2 < 2^63), per-operation loops everywhere else.
+Bulk arithmetic (power tables of public points, matrix-vector products,
+linear solves and, over prime fields, polynomial products) lives here too,
+in each field's ``kernels``.  The field picks them once, at construction:
+int64 numpy code where it is exact (prime p with p^2 < 2^63), exact Python
+ints for larger primes, per-operation loops for GF(2^m).  The kernels also
+keep the bounded caches of public per-point-set work (`Memo`).
 """
 
 from __future__ import annotations
@@ -73,10 +75,6 @@ def counting(counter: OpCounter):
         yield counter
     finally:
         _ACTIVE = prev
-
-
-def active_counter() -> OpCounter | None:
-    return _ACTIVE
 
 
 @contextmanager
@@ -144,6 +142,37 @@ class CounterBoard:
 # ---------------------------------------------------------------------------
 
 TABLE_CACHE_SIZE = 256
+POINT_SET_CACHE_SIZE = 32
+SCHOOLBOOK_MAX = 16   # polymul multiplies directly up to this len(a) * len(b)
+
+
+class Memo:
+    """A bounded cache of work over public inputs, oldest entry evicted first.
+
+    ``get`` builds a missing value once and, on every call, hit or miss,
+    charges the active counter what that build counted.  So a hit saves
+    time but never changes a count.
+    """
+
+    def __init__(self, size: int):
+        self.size = size
+        self._items: dict = {}
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def get(self, key, build):
+        item = self._items.get(key)
+        if item is None:
+            cost = OpCounter()
+            with counting(cost):
+                value = build()
+            if len(self._items) >= self.size:
+                del self._items[next(iter(self._items))]
+            item = self._items[key] = (value, cost)
+        value, cost = item
+        charge(cost.adds, cost.muls, cost.invs)
+        return value
 
 
 class Table(tuple):
@@ -162,11 +191,15 @@ class LoopKernels:
     """Bulk field arithmetic as loops over the field's counted operations.
 
     Exact in every field.  Each kernel takes and returns Python ints.
+    `polymul`, the uncounted prime-field product, is the exception: the
+    polynomial layer charges it.  ``point_sets`` caches that layer's
+    per-point-set work.
     """
 
     def __init__(self, field: "Field"):
         self.field = field
-        self._tables: dict[tuple, Table] = {}
+        self._tables = Memo(TABLE_CACHE_SIZE)
+        self.point_sets = Memo(POINT_SET_CACHE_SIZE)
 
     def power_table(self, points, ncols: int) -> Table:
         """Row i is (1, x_i, x_i^2, ...) with ncols entries.
@@ -174,22 +207,63 @@ class LoopKernels:
         Public setup over public points, so it is not charged to any
         counter; the last TABLE_CACHE_SIZE tables are cached.
         """
-        key = (tuple(points), ncols)
-        table = self._tables.get(key)
-        if table is None:
-            f = self.field
-            rows = []
-            with uncounted():
-                for x in key[0]:
-                    row, xj = [], 1
-                    for _ in range(ncols):
-                        row.append(xj)
-                        xj = f.mul(xj, x)
-                    rows.append(tuple(row))
-            if len(self._tables) >= TABLE_CACHE_SIZE:
-                del self._tables[next(iter(self._tables))]
-            table = self._tables[key] = Table(rows)
-        return table
+        points = tuple(points)
+        return self._tables.get((points, ncols),
+                                lambda: self._power_rows(points, ncols))
+
+    def _power_rows(self, points, ncols: int) -> Table:
+        f = self.field
+        rows = []
+        with uncounted():
+            for x in points:
+                row, xj = [], 1
+                for _ in range(ncols):
+                    row.append(xj)
+                    xj = f.mul(xj, x)
+                rows.append(tuple(row))
+        return Table(rows)
+
+    def locator_system(self, table: Table, values, nq: int, e: int):
+        """The Berlekamp-Welch rows [V[:, :nq] | -g V[:, :e]] and g V[:, e].
+
+        V is the power table and g the received values.  Uncounted: the
+        caller charges the products by the size of the system.
+        """
+        f = self.field
+        M, rhs = [], []
+        with uncounted():
+            for row, g in zip(table, values):
+                ng = f.neg(g)
+                M.append(row[:nq] + tuple([f.mul(ng, x) for x in row[:e]]))
+                rhs.append(f.mul(g, row[e]))
+        return M, rhs
+
+    def polymul(self, a, b) -> list[int]:
+        """The product of two coefficient lists over a prime field, uncounted.
+
+        Short operands multiply schoolbook-style; longer ones make one
+        big-integer product (Kronecker substitution): each operand is
+        packed into an int with slots wide enough for any coefficient of
+        the product, so no carry crosses a slot.  Exact for any prime.
+        GF(2^m) products stay per-operation in the polynomial layer.
+        """
+        if not a or not b:
+            return []
+        p = self.field.p
+        la, lb = len(a), len(b)
+        if la * lb <= SCHOOLBOOK_MAX:
+            out = [0] * (la + lb - 1)
+            for i, x in enumerate(a):
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+            return [c % p for c in out]
+        w = (min(la, lb) * (p - 1) ** 2).bit_length() // 8 + 1
+        packed = [int.from_bytes(b"".join([c.to_bytes(w, "little")
+                                           for c in v]), "little")
+                  for v in (a, b)]
+        raw = (packed[0] * packed[1]).to_bytes(w * (la + lb - 1), "little")
+        return [int.from_bytes(raw[i:i + w], "little") % p
+                for i in range(0, len(raw), w)]
 
     def matvec(self, matrix, vector) -> tuple[int, ...]:
         """Counted exact matrix-vector product."""
@@ -271,8 +345,8 @@ class Int64Kernels(LoopKernels):
         p = self.field.p
         n = len(matrix)
         u = len(matrix[0]) if n else 0
-        M = np.array(matrix, dtype=np.int64).reshape(n, u)
-        b = np.array(rhs, dtype=np.int64)
+        M = np.asarray(matrix, dtype=np.int64).reshape(n, u)
+        b = np.asarray(rhs, dtype=np.int64)
         A = np.concatenate([M % p, b[:, None] % p], axis=1)
         row = 0
         pivots = []
@@ -311,6 +385,13 @@ class Int64Kernels(LoopKernels):
         for r, c in pivots:
             x[c] = int(A[r, u])
         return x
+
+    def locator_system(self, table: Table, values, nq: int, e: int):
+        V = table.int64
+        g = np.array(values, dtype=np.int64)[:, None]
+        p = self.field.p
+        M = np.concatenate([V[:, :nq], -g * V[:, :e] % p], axis=1)
+        return M, g[:, 0] * V[:, e] % p
 
 
 # ---------------------------------------------------------------------------

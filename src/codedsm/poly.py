@@ -14,13 +14,30 @@ multiplication:
 
 ``auto`` (the default) picks naive below n = 32 and fast at or above it.
 Both modes return identical values; only the operation counts differ.
+
+Values and counts come apart:
+
+- Values come from exact bulk arithmetic.  Over a prime field the
+  helpers' loops run on raw ints and each product is one exact bulk
+  multiply (``field.kernels.polymul``); over GF(2^m) the helpers call the
+  field's counted operations one at a time.
+- Counts are the modelled algorithm's: the schoolbook or Karatsuba
+  product, the Newton series division, the Horner step.  They follow from
+  the operands' lengths (and, in long division, from which quotient terms
+  vanish), so the prime path `charge()`s them in bulk and both kinds of
+  field charge the same numbers for the same operands.
+- Public per-point-set work (a point set's subproduct tree, its inverted
+  derivative weights and each tree node's series inverses) is cached per
+  field and charged on every use exactly what its first build counted.
+  A cache hit saves time and changes no count.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .field import ConfigurationError, Field, Table, active_counter, uncounted
+from .field import ConfigurationError, Field, Memo, Table, charge, uncounted
 
 KARATSUBA_BASE = 8   # sizes at or below this multiply schoolbook-style
 AUTO_FAST_MIN = 32   # `auto` mode switches to the fast path at this size
@@ -49,59 +66,71 @@ def _trim(a: list[int]) -> list[int]:
 def _ladd(a: list[int], b: list[int], f: Field) -> list[int]:
     if len(a) < len(b):
         a, b = b, a
+    if f.kind == "prime":
+        p = f.p
+        charge(adds=len(b))
+        return [(x + y) % p for x, y in zip(a, b)] + list(a[len(b):])
     out = list(a)
-    p = _raw_prime(f)
-    if p is not None:
-        for i, c in enumerate(b):
-            out[i] = (out[i] + c) % p
-        return out
     for i, c in enumerate(b):
         out[i] = f.add(out[i], c)
     return out
 
 
 def _lsub(a: list[int], b: list[int], f: Field) -> list[int]:
+    if f.kind == "prime":
+        p = f.p
+        charge(adds=len(b))
+        return [(x - y) % p for x, y in zip(a, b)] + list(a[len(b):]) \
+            + [-y % p for y in b[len(a):]]
     out = list(a) + [0] * (len(b) - len(a))
-    p = _raw_prime(f)
-    if p is not None:
-        for i, c in enumerate(b):
-            out[i] = (out[i] - c) % p
-        return out
     for i, c in enumerate(b):
         out[i] = f.sub(out[i], c)
     return out
 
 
-def _lscale(a: list[int], s: int, f: Field) -> list[int]:
-    return [f.mul(c, s) for c in a]
-
-
-def _raw_prime(f: Field) -> int | None:
-    """The modulus, when inner loops may skip counted per-op calls."""
-    if f.kind == "prime" and active_counter() is None:
-        return f.order
-    return None
-
-
 def _mul_naive(a: list[int], b: list[int], f: Field) -> list[int]:
     if not a or not b:
         return []
+    if f.kind == "prime":
+        charge(adds=len(a) * len(b), muls=len(a) * len(b))
+        return f.kernels.polymul(a, b)
     out = [0] * (len(a) + len(b) - 1)
-    p = _raw_prime(f)
-    if p is not None:
-        for i, ai in enumerate(a):
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-        return out
     for i, ai in enumerate(a):
         for j, bj in enumerate(b):
             out[i + j] = f.add(out[i + j], f.mul(ai, bj))
     return out
 
 
+@lru_cache(maxsize=1 << 14)
+def _kar_ops(la: int, lb: int) -> tuple[int, int]:
+    """The (adds, muls) `_mul_kar` makes for operands of these lengths."""
+    if not la or not lb:
+        return 0, 0
+    n = max(la, lb)
+    if n <= KARATSUBA_BASE or min(la, lb) == 1:
+        return la * lb, la * lb
+    h = n // 2
+    la0, la1 = min(la, h), max(la - h, 0)
+    lb0, lb1 = min(lb, h), max(lb - h, 0)
+    lp0 = la0 + lb0 - 1
+    lp2 = la1 + lb1 - 1 if la1 and lb1 else 0
+    lpm = max(la0, la1) + max(lb0, lb1) - 1
+    parts = (_kar_ops(la0, lb0), _kar_ops(la1, lb1),
+             _kar_ops(max(la0, la1), max(lb0, lb1)))
+    # the two half-sums, the two subtractions forming the middle product
+    # and the two additions placing the middle and high products
+    adds = min(la0, la1) + min(lb0, lb1) + lp0 + lp2 \
+        + max(lpm, lp0, lp2) + lp2
+    return adds + sum(a for a, _ in parts), sum(m for _, m in parts)
+
+
 def _mul_kar(a: list[int], b: list[int], f: Field) -> list[int]:
     if not a or not b:
         return []
+    if f.kind == "prime":
+        adds, muls = _kar_ops(len(a), len(b))
+        charge(adds=adds, muls=muls)
+        return f.kernels.polymul(a, b)
     n = max(len(a), len(b))
     if n <= KARATSUBA_BASE or min(len(a), len(b)) == 1:
         return _mul_naive(a, b, f)
@@ -130,10 +159,11 @@ def _mul(a: list[int], b: list[int], f: Field, mode: str) -> list[int]:
 
 def _eval_at(a: list[int], x: int, f: Field) -> int:
     acc = 0
-    p = _raw_prime(f)
-    if p is not None:
+    if f.kind == "prime":
+        p = f.p
         for c in reversed(a):
             acc = (acc * x + c) % p
+        charge(adds=len(a), muls=len(a))
         return acc
     for c in reversed(a):
         acc = f.add(f.mul(acc, x), c)
@@ -154,6 +184,19 @@ def _divmod_naive(a: list[int], b: list[int], f: Field):
         return [], _trim(a)
     ilead = f.inv(lead) if lead != 1 else 1
     q = [0] * (len(a) - db)
+    if f.kind == "prime":
+        p = f.p
+        steps = 0
+        for i in range(len(a) - 1, db - 1, -1):
+            c = a[i] * ilead % p
+            q[i - db] = c
+            if c != 0:
+                steps += 1
+                a[i - db:i + 1] = [(x - c * y) % p
+                                   for x, y in zip(a[i - db:i + 1], b)]
+        charge(adds=steps * (db + 1),
+               muls=steps * (db + 1) + (len(q) if lead != 1 else 0))
+        return _trim(q), _trim(a[:db])
     for i in range(len(a) - 1, db - 1, -1):
         c = a[i] if lead == 1 else f.mul(a[i], ilead)
         q[i - db] = c
@@ -167,35 +210,12 @@ def _series_inv(s: list[int], k: int, f: Field) -> list[int]:
     """Inverse of the power series s modulo z^k (s[0] must be invertible)."""
     g = [f.inv(s[0])] if s[0] != 1 else [1]
     prec = 1
-    two = f.add(1, 1)
+    two = [f.add(1, 1)]
     while prec < k:
         prec = min(2 * prec, k)
-        w = _mul_kar(s[:prec], g, f)[:prec]
-        w = [f.sub(two if i == 0 else 0, w[i]) for i in range(len(w))]
+        w = _lsub(two, _mul_kar(s[:prec], g, f)[:prec], f)
         g = _mul_kar(g, w, f)[:prec]
     return g + [0] * (k - len(g))
-
-
-def _divmod_fast(a: list[int], b: list[int], f: Field):
-    """Division with remainder by a monic divisor, via reversed-series inversion."""
-    da, db = len(a) - 1, len(b) - 1
-    if da < db:
-        return [], list(a)
-    k = da - db + 1
-    rb = b[::-1]
-    ra = a[::-1][:k]
-    qrev = _mul_kar(ra, _series_inv(rb, k, f), f)[:k]
-    qrev += [0] * (k - len(qrev))
-    q = qrev[::-1]
-    qb = _mul_kar(q, b, f)[:db] if db else []
-    r = _lsub(a[:db], qb, f) if db else []
-    return q, _trim(r)
-
-
-def _rem(a: list[int], b: list[int], f: Field) -> list[int]:
-    if len(a) - 1 < len(b) - 1:
-        return list(a)
-    return _divmod_fast(a, b, f)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -206,12 +226,14 @@ class SubproductTree:
     """Binary tree of the monic products prod(z - x_i) over point subsets.
 
     ``levels[0]`` holds the leaf linears (z - x_i); each higher level pairs
-    adjacent nodes, carrying an unpaired trailing node up unchanged.
+    adjacent nodes, carrying an unpaired trailing node up unchanged.  The
+    tree keeps its nodes' series inverses and its interpolation weights,
+    each charged on every use what it first cost.
     """
 
     def __init__(self, xs: Sequence[int], f: Field):
         self.field = f
-        self.xs = list(xs)
+        self.xs = tuple(xs)
         level = [[f.neg(x), 1] for x in xs]
         self.levels = [level]
         while len(level) > 1:
@@ -223,6 +245,8 @@ class SubproductTree:
                 nxt.append(level[-1])
             level = nxt
             self.levels.append(level)
+        # room for each node's series inverse at a few precisions
+        self._memo = Memo(8 * len(self.xs) + 8)
 
     @property
     def root(self) -> list[int]:
@@ -230,13 +254,41 @@ class SubproductTree:
 
     def remainders(self, p: list[int]) -> list[int]:
         """Evaluate p at every tree point by repeated remaindering."""
-        f = self.field
-        cur = [_rem(p, self.root, f)]
-        for lev in range(len(self.levels) - 2, -1, -1):
-            nodes = self.levels[lev]
-            cur = [_rem(cur[j // 2], nodes[j], f)
-                   for j in range(len(nodes))]
+        top = len(self.levels) - 1
+        cur = [self._rem(p, top, 0)]
+        for lev in range(top - 1, -1, -1):
+            cur = [self._rem(cur[j // 2], lev, j)
+                   for j in range(len(self.levels[lev]))]
         return [c[0] if c else 0 for c in cur]
+
+    def _rem(self, a: list[int], lev: int, j: int) -> list[int]:
+        """a mod node j of level lev, via its reversed-series inverse."""
+        f = self.field
+        b = self.levels[lev][j]
+        db = len(b) - 1
+        if len(a) - 1 < db:
+            return list(a)
+        if len(a) == 2 and db == 1:
+            # a mod (z - x) is a(x): one Horner step, charged what the
+            # series route below counts for these lengths
+            charge(adds=5, muls=3)
+            if f.kind == "prime":
+                r = (a[0] - a[1] * b[0]) % f.p
+            else:
+                with uncounted():
+                    r = f.sub(a[0], f.mul(a[1], b[0]))
+            return [r] if r else []
+        k = len(a) - db
+        inv = self._memo.get((lev, j, k),
+                             lambda: _series_inv(b[::-1], k, f))
+        q = _mul_kar(a[:-k - 1:-1], inv, f)[k - 1::-1]
+        return _trim(_lsub(a[:db], _mul_kar(q, b, f)[:db], f))
+
+    def weights(self) -> tuple[int, ...]:
+        """1 / M'(x_i) for the root M, at every tree point (cached)."""
+        f = self.field
+        return self._memo.get("weights", lambda: tuple(
+            f.inv(d) for d in self.remainders(_deriv(self.root, f))))
 
     def combine(self, ws: Sequence[int]) -> list[int]:
         """Build sum_i w_i * prod_{j != i} (z - x_j) bottom-up."""
@@ -253,6 +305,12 @@ class SubproductTree:
                 nxt.append(cur[-1])
             cur = nxt
         return cur[0]
+
+
+def _tree(xs: Sequence[int], f: Field) -> SubproductTree:
+    """The point set's tree from the field's cache, charged on every use."""
+    key = tuple(xs)
+    return f.kernels.point_sets.get(key, lambda: SubproductTree(key, f))
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +330,7 @@ def _interp_naive(xs, ys, f: Field) -> list[int]:
     for x in xs:
         master = _mul_naive(master, [f.neg(x), 1], f)
     out = [0] * len(xs)
-    p = _raw_prime(f)
+    p = f.p if f.kind == "prime" else None
     for x, y in zip(xs, ys):
         # q = master / (z - x) by synthetic division from the top
         q = [0] * (len(master) - 1)
@@ -282,8 +340,7 @@ def _interp_naive(xs, ys, f: Field) -> list[int]:
                 acc = (master[j] + acc * x) % p
                 q[j - 1] = acc
             w = y * pow(_eval_at(q, x, f), -1, p) % p
-            for j, c in enumerate(q):
-                out[j] = (out[j] + w * c) % p
+            out = [(o + w * c) % p for o, c in zip(out, q)]
         else:
             for j in range(len(master) - 1, 0, -1):
                 acc = f.add(master[j], f.mul(acc, x))
@@ -291,14 +348,16 @@ def _interp_naive(xs, ys, f: Field) -> list[int]:
             w = f.mul(y, f.inv(_eval_at(q, x, f)))
             for j, c in enumerate(q):
                 out[j] = f.add(out[j], f.mul(w, c))
+    if p is not None:
+        # per point: the division, the inverse, the scaling and the sum
+        n = len(xs)
+        charge(adds=2 * n * n, muls=n * (2 * n + 1), invs=n)
     return out
 
 
 def _interp_fast(xs, ys, f: Field) -> list[int]:
-    tree = SubproductTree(xs, f)
-    dens = tree.remainders(_deriv(tree.root, f))
-    ws = [f.mul(y, f.inv(d)) for y, d in zip(ys, dens)]
-    return tree.combine(ws)
+    tree = _tree(xs, f)
+    return tree.combine([f.mul(y, w) for y, w in zip(ys, tree.weights())])
 
 
 def interpolate(points: Iterable[tuple[int, int]], field: Field,
@@ -326,7 +385,7 @@ def multipoint_eval(poly: "DensePoly", xs: Sequence[int],
         f.check(x)
     m = _resolve(mode, len(xs))
     if m == "fast" and len(xs) > 1:
-        return SubproductTree(xs, f).remainders(list(poly.coeffs))
+        return _tree(xs, f).remainders(list(poly.coeffs))
     return [_eval_at(list(poly.coeffs), x, f) for x in xs]
 
 
@@ -384,9 +443,6 @@ class DensePoly:
 
     def __mul__(self, other: "DensePoly") -> "DensePoly":
         return self.mul(other)
-
-    def scale(self, s: int) -> "DensePoly":
-        return DensePoly(self.field, _lscale(list(self.coeffs), s, self.field))
 
     def divmod(self, other: "DensePoly") -> tuple["DensePoly", "DensePoly"]:
         self._want(other)

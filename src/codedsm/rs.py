@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .field import Field, charge, uncounted
+from .field import Field, charge
 from .poly import DensePoly, interpolate
 
 
@@ -99,15 +99,10 @@ def _bw_candidate(field, pts, vals, D, e):
     the monic locator E; row i states Q(x_i) - g_i E(x_i) = g_i x_i^e.
     """
     nq = D + e + 1
-    V = field.kernels.power_table(pts, nq)
-    M, rhs = [], []
-    with uncounted():
-        for row, g in zip(V, vals):
-            ng = field.neg(g)
-            M.append(row[:nq] + tuple([field.mul(ng, x) for x in row[:e]]))
-            rhs.append(field.mul(g, row[e]))
+    kernels = field.kernels
+    M, rhs = kernels.locator_system(kernels.power_table(pts, nq), vals, nq, e)
     charge(muls=len(pts) * (e + 1))
-    x = field.kernels.solve(M, rhs)
+    x = kernels.solve(M, rhs)
     if x is None:
         return None
     qp = DensePoly(field, x[:nq])

@@ -327,3 +327,39 @@ def test_power_table_is_cached_and_uncounted():
         t = F11.kernels.power_table((3, 4), 3)
     assert c.total() == 0
     assert F11.kernels.power_table([3, 4], 3) is t
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(1, 9), d=st.integers(0, 3),
+       e=st.integers(1, 3))
+def test_int64_locator_system_matches_loop(data, n, d, e):
+    loop = LoopKernels(F97)
+    pts = data.draw(st.lists(ELEM97, min_size=n, max_size=n, unique=True))
+    vals = data.draw(st.lists(ELEM97, min_size=n, max_size=n))
+    nq = d + e + 1
+    table = F97.kernels.power_table(pts, nq)
+    M, rhs = F97.kernels.locator_system(table, vals, nq, e)
+    M2, rhs2 = loop.locator_system(table, vals, nq, e)
+    assert [tuple(int(x) for x in r) for r in M] == M2
+    assert [int(x) for x in rhs] == rhs2
+    assert F97.kernels.solve(M, rhs) == loop.solve(M2, rhs2)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 80), st.integers(1, 80), st.integers(0, 1 << 30),
+       st.sampled_from([2, 97, (1 << 31) - 1, 4294967311, (1 << 61) - 1]))
+def test_polymul_is_the_exact_product(la, lb, seed, p):
+    # every coefficient at its largest value is the worst case for the
+    # slot width, so draw it often
+    rng = random.Random(seed)
+    pick = (lambda: p - 1) if seed % 3 == 0 else (lambda: rng.randrange(p))
+    a = [pick() for _ in range(la)]
+    b = [pick() for _ in range(lb)]
+    want = [0] * (la + lb - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            want[i + j] = (want[i + j] + x * y) % p
+    c = OpCounter()
+    with counting(c):
+        assert PrimeField(p).kernels.polymul(a, b) == want
+    assert c.total() == 0

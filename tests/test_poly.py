@@ -6,11 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from codedsm.field import BinaryField, ConfigurationError, OpCounter, PrimeField, counting
+from codedsm.field import (
+    POINT_SET_CACHE_SIZE,
+    BinaryField,
+    ConfigurationError,
+    OpCounter,
+    PrimeField,
+    counting,
+)
 from codedsm.poly import (
     DensePoly,
     EvalDomain,
     SubproductTree,
+    _tree,
     interpolate,
     lagrange_coeffs,
     multipoint_eval,
@@ -20,6 +28,7 @@ F11 = PrimeField(11)
 F97 = PrimeField(97)
 FBIG = PrimeField((1 << 31) - 1)
 GF8 = BinaryField(3)
+GF8_256 = BinaryField(8)
 
 
 # ---------------------------------------------------------------------------
@@ -238,3 +247,72 @@ def test_naive_quadratic_fast_subquadratic():
 
     assert ops(128, "naive") / ops(64, "naive") > 3.9
     assert ops(128, "fast") / ops(64, "fast") < 3.8
+
+
+# ---------------------------------------------------------------------------
+# cached per-point-set work
+# ---------------------------------------------------------------------------
+
+def test_fast_equals_naive_on_one_point_set_many_values():
+    # the sweep above draws fresh points every time; here one point set is
+    # reused, so every fast call after the first runs on cached work
+    rng = random.Random(31)
+    for F, n in ((FBIG, 64), (F97, 40)):
+        xs = rng.sample(range(F.order), n)
+        for _ in range(100):
+            pts = [(x, F.rand(rng)) for x in xs]
+            assert interpolate(pts, F, "fast") == interpolate(pts, F, "naive")
+            m = rng.randint(1, 2 * n)
+            q = DensePoly(F, [F.rand(rng) for _ in range(m)])
+            assert multipoint_eval(q, xs, "fast") == \
+                multipoint_eval(q, xs, "naive")
+
+
+def test_point_set_cache_is_per_field():
+    xs = list(range(3, 43))
+    F101 = PrimeField(101)
+    for F in (F97, F101, GF8_256):
+        ys = [(7 * x + 1) % 90 for x in xs]
+        p = interpolate(list(zip(xs, ys)), F, "fast")
+        assert multipoint_eval(p, xs, "fast") == ys
+    trees = [_tree(xs, F) for F in (F97, F101, GF8_256)]
+    assert [t.field for t in trees] == [F97, F101, GF8_256]
+    assert len({id(t) for t in trees}) == 3
+
+
+def test_point_set_cache_stays_bounded():
+    F = PrimeField(10007)
+    rng = random.Random(5)
+    sets = [rng.sample(range(F.order), 33)
+            for _ in range(POINT_SET_CACHE_SIZE + 8)]
+    q = DensePoly(F, [F.rand(rng) for _ in range(33)])
+
+    def agree(xs):
+        fast = multipoint_eval(q, xs, "fast")
+        return fast == multipoint_eval(q, xs, "naive")
+
+    for xs in sets:
+        assert agree(xs)
+        assert len(F.kernels.point_sets) <= POINT_SET_CACHE_SIZE
+    # the oldest set was evicted; asking again rebuilds it, same answer
+    assert agree(sets[0])
+    assert len(F.kernels.point_sets) == POINT_SET_CACHE_SIZE
+
+
+def test_caller_cannot_corrupt_cached_work():
+    rng = random.Random(8)
+    xs = rng.sample(range(FBIG.order), 40)
+    ys = [FBIG.rand(rng) for _ in xs]
+    q = DensePoly(FBIG, ys)
+    want_vals = multipoint_eval(q, xs, "naive")
+    want_poly = interpolate(list(zip(xs, ys)), FBIG, "naive")
+    for _ in range(3):
+        points = list(xs)
+        vals = multipoint_eval(q, points, "fast")
+        assert vals == want_vals
+        vals[:] = [0] * len(vals)
+        points[:] = [0] * len(points)
+        assert interpolate(list(zip(xs, ys)), FBIG, "fast") == want_poly
+        weights = _tree(xs, FBIG).weights()
+        with pytest.raises(TypeError):
+            weights[0] = 0
