@@ -36,8 +36,10 @@ from .simnet import (
     PROTOCOLS,
     ExperimentConfig,
     ExperimentResult,
+    Timing,
     read_bool,
     run_experiment,
+    tamper,
 )
 
 CSV_SCHEMA = "codedsm.metrics.v1"
@@ -136,12 +138,13 @@ def _sweep_rng(seed: int, *salt: int) -> random.Random:
     return random.Random(mix)
 
 
-def _tampered(strategy: str, value, fld, rng, shared_delta):
-    if strategy == "withhold":
-        return None
+def _tampered(strategy: str, vectors, fld, rng, shared):
+    """A faulty node's message in the sweep. Colluding nodes all add the
+    same ``shared`` deltas; the other strategies are the simulator's."""
     if strategy == "collude":
-        return tuple(fld.add(v, d) for v, d in zip(value, shared_delta))
-    return tuple(fld.add(v, rng.randrange(1, fld.order)) for v in value)
+        return [tuple(fld.add(v, d) for v, d in zip(vec, delta))
+                for vec, delta in zip(vectors, shared)]
+    return tamper(strategy, vectors, fld, rng, 0, Timing())
 
 
 def _csm_violation(coding, states, commands, faulty, strategy, rng):
@@ -152,9 +155,10 @@ def _csm_violation(coding, states, commands, faulty, strategy, rng):
     g = [execute_local(s, x, coding)
          for s, x in zip(encode_states(states, coding),
                          encode_commands(commands, coding))]
-    shared = tuple(rng.randrange(1, fld.order) for _ in g[0])
+    shared = [tuple(rng.randrange(1, fld.order) for _ in g[0])]
     for i in faulty:
-        g[i] = _tampered(strategy, g[i], fld, rng, shared)
+        sent = _tampered(strategy, [g[i]], fld, rng, shared)
+        g[i] = None if sent is None else sent[0]
     result = decode_round(g, coding)
     if not result.success:
         return "liveness"
@@ -171,15 +175,14 @@ def _replication_violation(cfg, states, commands, faulty, strategy, rng):
     shared = {k: tuple(rng.randrange(1, fld.order) for _ in t)
               for k, t in enumerate(truth)}
 
-    def tamper(i, report):
+    def report(i, mine):
         if i not in faulty:
-            return report
-        if strategy == "withhold":
-            return None
-        return {k: _tampered(strategy, v, fld, rng, shared[k])
-                for k, v in report.items()}
+            return mine
+        sent = _tampered(strategy, list(mine.values()), fld, rng,
+                         [shared[k] for k in mine])
+        return None if sent is None else dict(zip(mine, sent))
 
-    result = run_replicated_round(states, commands, cfg, tamper)
+    result = run_replicated_round(states, commands, cfg, report)
     for k, out in enumerate(result.outputs):
         if out is None:
             return "liveness"

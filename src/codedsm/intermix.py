@@ -406,9 +406,6 @@ def commoner_check(tr: AuditTranscript, matrix, vector, fld: Field,
 # one full verification session
 # ---------------------------------------------------------------------------
 
-AUDITOR_STRATEGIES = ("honest", "silent", "false-alert")
-
-
 @dataclass(frozen=True)
 class SessionResult:
     accepted: bool
@@ -521,14 +518,12 @@ class Delegation:
 
     cfg: CodingConfig
     eps: float = 1e-3
-    mu: object = None                    # committee sizing; None = cfg fraction
     beacon: random.Random | int = 0
     board: CounterBoard | None = None
     mode: str = "auto"
     channel: str = "broadcast"
     worker_strategy_for: object = None   # node -> WorkerStrategy | None
     auditor_strategy_for: object = None  # node -> str | None
-    max_attempts: int | None = None
 
     def __post_init__(self):
         if not isinstance(self.beacon, random.Random):
@@ -538,10 +533,6 @@ class Delegation:
         if self.channel != "broadcast":
             raise ConfigurationError(
                 "delegated coding requires the broadcast channel")
-
-    @property
-    def committee_mu(self):
-        return self.cfg.fault_fraction if self.mu is None else self.mu
 
     def strategy(self, node: int) -> WorkerStrategy:
         if self.worker_strategy_for is None:
@@ -573,17 +564,13 @@ def _attempt_loop(dele: Delegation, task):
     after at most N elections.
     """
     n = dele.cfg.n_nodes
-    limit = dele.max_attempts if dele.max_attempts is not None else n
     banned: set[int] = set()
     rejected: list[int] = []
     comparisons = 0
     reason = "no eligible worker remained"
-    for attempt in range(1, limit + 1):
-        candidates = [i for i in range(n) if i not in banned]
-        if not candidates:
-            break
-        w = dele.beacon.choice(candidates)
-        committee = elect_committee(n, dele.committee_mu, dele.eps,
+    for attempt in range(1, n + 1):
+        w = dele.beacon.choice([i for i in range(n) if i not in banned])
+        committee = elect_committee(n, dele.cfg.fault_fraction, dele.eps,
                                     dele.beacon, w)
         ok, payload, reason, comps = task(w, dele.strategy(w), committee)
         comparisons += comps

@@ -90,9 +90,37 @@ class Timing:
         return Timing("psync", 1, gst)
 
 
+def tamper(strategy: str, vectors, fld, rng: random.Random, rnd: int,
+           timing: Timing):
+    """What one Byzantine node sends in place of its honest ``vectors``:
+    the same list, a corrupted list, or None for silence. ``corrupt``
+    shifts every coordinate by a nonzero draw; ``corrupt_random`` and
+    ``equivocate`` (which a broadcast channel collapses to one value)
+    replace every coordinate by a fresh draw."""
+    if strategy in ("none", "false_audit", "dishonest_worker"):
+        return vectors
+    if strategy == "withhold":
+        return None
+    if strategy == "delay":
+        if timing.mode == "psync" and rnd >= timing.gst:
+            return vectors  # still bound by delta after stabilization
+        return None
+    if strategy == "corrupt":
+        return [tuple(fld.add(v, rng.randrange(1, fld.order)) for v in vec)
+                for vec in vectors]
+    if strategy in ("corrupt_random", "equivocate"):
+        return [tuple(rng.randrange(fld.order) for _ in vec)
+                for vec in vectors]
+    raise ConfigurationError(f"unhandled strategy {strategy}")
+
+
 @dataclass(frozen=True)
 class AdversaryModel:
-    """Which nodes are Byzantine and what they do with that freedom."""
+    """Which nodes are Byzantine and what they do with that freedom.
+
+    Every deviation of a faulty node comes from here, and every message
+    draws from its own stream, so one message's draws never shift
+    another's."""
 
     faulty: frozenset[int]
     strategy: str = "none"
@@ -109,6 +137,40 @@ class AdversaryModel:
         tag = ":".join(str(s) for s in (self.seed,) + salt)
         digest = hashlib.sha256(tag.encode()).digest()
         return random.Random(int.from_bytes(digest[:8], "big"))
+
+    def send(self, label: str, rnd: int, node: int, vectors, fld,
+             timing: Timing, *salt):
+        """What ``node`` sends as the message ``label`` of round ``rnd``
+        (its round result, its decoded outputs, its baseline report, or
+        one receiver's view, named by ``salt``) in place of its honest
+        ``vectors``; None is silence."""
+        if node not in self.faulty:
+            return vectors
+        return tamper(self.strategy, vectors, fld,
+                      self.stream(label, rnd, node, *salt), rnd, timing)
+
+    def arrivals(self, values, b: int, rnd: int, *salt) -> list:
+        """The results a node acts on under psync: the scheduler's pick
+        of the first N-b arrivals."""
+        return list(_psync_arrivals(values, self.faulty, b,
+                                    self.stream("sched", rnd, *salt)))
+
+    def worker_strategy(self, node: int, fld) -> WorkerStrategy | None:
+        """How ``node`` lies when elected delegated-coding worker; None
+        means honestly."""
+        if self.strategy != "dishonest_worker" or node not in self.faulty:
+            return None
+        rng = self.stream("worker", node)
+        reply = rng.choice(("truthful", "consistent", "random", "silent"))
+        delta = rng.randrange(1, fld.order)
+        return WorkerStrategy(deltas={0: (delta, rng.randrange(64))},
+                              reply=reply, seed=rng.randrange(2 ** 31))
+
+    def auditor_policy(self, node: int) -> str:
+        """How ``node`` audits a delegated-coding worker."""
+        if self.strategy == "false_audit" and node in self.faulty:
+            return "false-alert"
+        return "honest"
 
 
 # ---------------------------------------------------------------------------
@@ -356,32 +418,8 @@ def set_channel_mode(config: ExperimentConfig,
 
 
 # ---------------------------------------------------------------------------
-# adversarial message handling
+# partially synchronous delivery
 # ---------------------------------------------------------------------------
-
-def _corrupt_vector(vec, fld, rng, random_values: bool):
-    if random_values:
-        return tuple(rng.randrange(fld.order) for _ in vec)
-    return tuple(fld.add(v, rng.randrange(1, fld.order)) for v in vec)
-
-
-def _faulty_result(strategy, honest_value, fld, rng, rnd, timing):
-    """What one Byzantine node broadcasts in place of its honest result."""
-    if strategy in ("none", "false_audit", "dishonest_worker"):
-        return honest_value
-    if strategy == "withhold":
-        return None
-    if strategy == "delay":
-        if timing.mode == "psync" and rnd >= timing.gst:
-            return honest_value  # still bound by delta after stabilization
-        return None
-    if strategy == "corrupt":
-        return _corrupt_vector(honest_value, fld, rng, False)
-    if strategy in ("corrupt_random", "equivocate"):
-        # under a broadcast channel equivocation collapses to one value
-        return _corrupt_vector(honest_value, fld, rng, True)
-    raise ConfigurationError(f"unhandled strategy {strategy}")
-
 
 def _psync_arrivals(values, faulty, b, rng):
     """First N-b results a node acts on under the timeout rule.
@@ -453,32 +491,6 @@ def _pick_faulty(n: int, b: int, rng: random.Random) -> frozenset[int]:
     return frozenset(rng.sample(range(n), b))
 
 
-def _worker_strategy_map(adv: AdversaryModel, fld):
-    if adv.strategy != "dishonest_worker":
-        return None
-
-    def for_node(node):
-        if node not in adv.faulty:
-            return None
-        rng = adv.stream("worker", node)
-        reply = rng.choice(("truthful", "consistent", "random", "silent"))
-        delta = rng.randrange(1, fld.order)
-        return WorkerStrategy(deltas={0: (delta, rng.randrange(64))},
-                              reply=reply, seed=rng.randrange(2 ** 31))
-
-    return for_node
-
-
-def _auditor_strategy_map(adv: AdversaryModel):
-    if adv.strategy != "false_audit":
-        return None
-
-    def for_node(node):
-        return "false-alert" if node in adv.faulty else "honest"
-
-    return for_node
-
-
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run one seeded experiment and return its log and violation list.
 
@@ -532,19 +544,12 @@ def _submit_round_commands(pool, machine, cmd_rng, rnd, log):
 def _deliver_outputs(decoded_outputs, truth_out, adversary, fld, rnd,
                      timing, n_nodes, b, log, violations):
     """Client-side acceptance of per-machine outputs from node reports."""
+    sent = [adversary.send("deliver", rnd, i, decoded_outputs, fld, timing)
+            for i in range(n_nodes)]
     delivered = []
     ok = True
     for mk in range(len(truth_out)):
-        reports = []
-        for i in range(n_nodes):
-            if i in adversary.faulty:
-                rng = adversary.stream("deliver", rnd, i)
-                val = _faulty_result(adversary.strategy,
-                                     decoded_outputs[mk], fld, rng, rnd,
-                                     timing)
-            else:
-                val = decoded_outputs[mk]
-            reports.append(val)
+        reports = [None if s is None else s[mk] for s in sent]
         try:
             got = client_decide(reports, b)
         except DeliveryFailure as exc:
@@ -579,8 +584,8 @@ def _run_csm(config, machine, k, b, timing, adversary, log, board,
         dele = Delegation(
             coding, eps=config.eps, beacon=beacon, board=board,
             mode=config.poly_mode,
-            worker_strategy_for=_worker_strategy_map(adversary, fld),
-            auditor_strategy_for=_auditor_strategy_map(adversary))
+            worker_strategy_for=lambda i: adversary.worker_strategy(i, fld),
+            auditor_strategy_for=adversary.auditor_policy)
     violations: list[dict] = []
     rounds_run = 0
     for rnd in range(config.rounds):
@@ -621,15 +626,12 @@ def _run_csm(config, machine, k, b, timing, adversary, log, board,
                         and config.channel == "p2p")
         base_view = list(g_honest)
         if not equivocating:
-            for i in sorted(adversary.faulty):
-                rng = adversary.stream("result", rnd, i)
-                base_view[i] = _faulty_result(adversary.strategy,
-                                              g_honest[i], fld, rng, rnd,
-                                              timing)
+            for i in adversary.faulty:
+                sent = adversary.send("result", rnd, i, [g_honest[i]], fld,
+                                      timing)
+                base_view[i] = None if sent is None else sent[0]
         if timing.mode == "psync":
-            base_view = list(_psync_arrivals(
-                base_view, adversary.faulty, b,
-                adversary.stream("sched", rnd)))
+            base_view = adversary.arrivals(base_view, b, rnd)
         log.append("delivered", round=rnd,
                    g=[None if v is None else list(v) for v in base_view])
 
@@ -698,14 +700,12 @@ def _decode_per_receiver(g_honest, coding, adversary, rnd, timing, b,
     for receiver in range(n):
         if receiver in adversary.faulty:
             continue
-        view = list(g_honest)
-        for i in sorted(adversary.faulty):
-            rng = adversary.stream("equiv", rnd, i, receiver)
-            view[i] = _corrupt_vector(g_honest[i], fld, rng, True)
+        # equivocation never withholds, so every view is complete
+        view = [adversary.send("equiv", rnd, i, [g], fld, timing,
+                               receiver)[0]
+                for i, g in enumerate(g_honest)]
         if timing.mode == "psync":
-            view = list(_psync_arrivals(view, adversary.faulty, b,
-                                        adversary.stream("sched", rnd,
-                                                         receiver)))
+            view = adversary.arrivals(view, b, rnd, receiver)
         with board.scope("net", "psi"):
             outcomes.append(decode_round(view, coding, mode))
     first = outcomes[0]
@@ -719,22 +719,6 @@ def _decode_per_receiver(g_honest, coding, adversary, rnd, timing, b,
                                          "different values"})
             break
     return first, violations
-
-
-def _baseline_tamper(adversary, cfg, rnd, timing):
-    fld = cfg.machine.field
-
-    def tamper(i, report):
-        if i not in adversary.faulty:
-            return report
-        rng = adversary.stream("report", rnd, i)
-        out = {mk: _faulty_result(adversary.strategy, vec, fld, rng, rnd,
-                                  timing)
-               for mk, vec in report.items()}
-        # a node that withholds one report withholds them all
-        return None if None in out.values() else out
-
-    return tamper
 
 
 def _run_replicated(config, machine, k, b, timing, adversary, log, board,
@@ -758,9 +742,15 @@ def _run_replicated(config, machine, k, b, timing, adversary, log, board,
                      for s, x in zip(states, commands)]
         sd = machine.state_dim
         truth_out = tuple(tuple(t[sd:]) for t in truth)
-        tamper = _baseline_tamper(adversary, cfg, rnd, timing)
+
+        def report(i, mine):
+            # the whole report is one message: silence drops all of it
+            sent = adversary.send("report", rnd, i, list(mine.values()),
+                                  machine.field, timing)
+            return None if sent is None else dict(zip(mine, sent))
+
         with board.scope("net", "rho"):
-            round_res = run_replicated_round(states, commands, cfg, tamper)
+            round_res = run_replicated_round(states, commands, cfg, report)
         log.append("round", **round_res.record(rnd, commands))
         pre_stabilization = (timing.mode == "psync" and rnd < timing.gst)
         for mk, output in enumerate(round_res.outputs):

@@ -10,6 +10,7 @@ import pytest
 from codedsm.field import ConfigurationError, parse_field
 from codedsm.machine import make_machine
 from codedsm.simnet import (
+    ADVERSARIES,
     CONFIG_KEYS,
     AdversaryModel,
     CommandPool,
@@ -448,3 +449,76 @@ def test_adversary_model_validates_strategy():
     streams = AdversaryModel(frozenset(), "corrupt", 7)
     assert streams.stream("a", 1).random() == streams.stream("a", 1).random()
     assert streams.stream("a", 1).random() != streams.stream("a", 2).random()
+
+
+HONEST_VECS = [(1, 2, 3), (4, 5, 6)]
+
+
+def _sent(strategy, rnd=0, timing=Timing(), vectors=HONEST_VECS, node=1):
+    adv = AdversaryModel(frozenset({1, 2}), strategy, 7)
+    return adv.send("deliver", rnd, node, vectors, F, timing)
+
+
+@pytest.mark.parametrize("strategy", ADVERSARIES)
+def test_send_returns_honest_vectors_unchanged(strategy):
+    assert _sent(strategy, node=0) is HONEST_VECS
+
+
+@pytest.mark.parametrize("strategy", ["none", "false_audit",
+                                      "dishonest_worker"])
+def test_send_passes_message_strategies_through(strategy):
+    assert _sent(strategy) is HONEST_VECS
+
+
+@pytest.mark.parametrize("strategy", ["corrupt", "corrupt_random",
+                                      "equivocate"])
+def test_send_gives_one_message_per_label_round_and_node(strategy):
+    adv = AdversaryModel(frozenset({1, 2}), strategy, 7)
+    msg = adv.send("result", 3, 1, HONEST_VECS, F, Timing())
+    assert msg == adv.send("result", 3, 1, HONEST_VECS, F, Timing())
+    others = [adv.send("deliver", 3, 1, HONEST_VECS, F, Timing()),
+              adv.send("result", 4, 1, HONEST_VECS, F, Timing()),
+              adv.send("result", 3, 2, HONEST_VECS, F, Timing()),
+              adv.send("result", 3, 1, HONEST_VECS, F, Timing(), 0)]
+    assert all(other != msg for other in others)
+
+
+def test_withhold_sends_nothing():
+    assert _sent("withhold") is None
+    assert _sent("withhold", rnd=5, timing=Timing("psync", 1, 2)) is None
+
+
+def test_delay_is_silent_until_stabilization():
+    timing = Timing("psync", 1, 3)
+    assert _sent("delay", rnd=2, timing=timing) is None
+    assert _sent("delay", rnd=3, timing=timing) == HONEST_VECS
+    assert _sent("delay", rnd=9) is None  # sync never stabilizes late
+
+
+def test_corrupt_shifts_every_coordinate():
+    sent = _sent("corrupt")
+    assert len(sent) == len(HONEST_VECS)
+    for lie, truth in zip(sent, HONEST_VECS):
+        assert len(lie) == len(truth)
+        assert all(x != y for x, y in zip(lie, truth))
+
+
+@pytest.mark.parametrize("strategy", ["corrupt_random", "equivocate"])
+def test_random_strategies_draw_fresh_values(strategy):
+    sent = _sent(strategy)
+    rng = AdversaryModel(frozenset(), strategy, 7).stream("deliver", 0, 1)
+    assert sent == [tuple(rng.randrange(F.order) for _ in v)
+                    for v in HONEST_VECS]
+    assert sent == _sent(strategy, vectors=[(0, 0, 0), (9, 9, 9)])
+
+
+def test_delegated_roles_follow_the_strategy():
+    liar = AdversaryModel(frozenset({1}), "dishonest_worker", 7)
+    assert liar.worker_strategy(0, F) is None
+    assert not liar.worker_strategy(1, F).honest
+    assert liar.worker_strategy(1, F) == liar.worker_strategy(1, F)
+    assert liar.auditor_policy(1) == "honest"
+    alarmist = AdversaryModel(frozenset({1}), "false_audit", 7)
+    assert alarmist.worker_strategy(1, F) is None
+    assert alarmist.auditor_policy(1) == "false-alert"
+    assert alarmist.auditor_policy(0) == "honest"
