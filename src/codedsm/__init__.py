@@ -16,7 +16,6 @@ from .field import (  # noqa: F401
     ConfigurationError,
     CounterBoard,
     Field,
-    FieldElement,
     OpCounter,
     PrimeField,
     counting,

@@ -12,11 +12,19 @@ of a node, a worker, or an auditor, which is how per-role complexity is
 measured without threading counter objects through every call site.
 
 Bulk arithmetic (power tables of public points, matrix-vector products,
-linear solves and, over prime fields, polynomial products) lives here too,
-in each field's ``kernels``.  The field picks them once, at construction:
-int64 numpy code where it is exact (prime p with p^2 < 2^63), exact Python
-ints for larger primes, per-operation loops for GF(2^m).  The kernels also
-keep the bounded caches of public per-point-set work (`Memo`).
+linear solves and the polynomial layer's coefficient-list arithmetic)
+lives here too, in each field's ``kernels``.  The field picks them once,
+at construction:
+
+- `LoopKernels` for GF(2^m): every kernel is a loop over the field's
+  counted operations.  It is also the reference the others must match.
+- `PrimeKernels` for a prime p with p^2 >= 2^63: the polynomial kernels
+  run on raw ints and charge the loops' counts in bulk.
+- `Int64Kernels` for any other prime: `PrimeKernels` plus int64 numpy
+  linear algebra.
+
+The kernels also keep the bounded caches of public per-point-set work
+(`Memo`).
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ from __future__ import annotations
 import random
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -144,6 +152,7 @@ class CounterBoard:
 TABLE_CACHE_SIZE = 256
 POINT_SET_CACHE_SIZE = 32
 SCHOOLBOOK_MAX = 16   # polymul multiplies directly up to this len(a) * len(b)
+KARATSUBA_BASE = 8   # sizes at or below this multiply schoolbook-style
 
 
 class Memo:
@@ -190,10 +199,10 @@ class Table(tuple):
 class LoopKernels:
     """Bulk field arithmetic as loops over the field's counted operations.
 
-    Exact in every field.  Each kernel takes and returns Python ints.
-    `polymul`, the uncounted prime-field product, is the exception: the
-    polynomial layer charges it.  ``point_sets`` caches that layer's
-    per-point-set work.
+    Exact in every field, and the per-operation reference for the other
+    backends.  Each kernel takes and returns Python ints.  The polynomial
+    kernels work on coefficient lists, low to high degree.  ``point_sets``
+    caches the polynomial layer's per-point-set work.
     """
 
     def __init__(self, field: "Field"):
@@ -238,32 +247,117 @@ class LoopKernels:
                 rhs.append(f.mul(g, row[e]))
         return M, rhs
 
-    def polymul(self, a, b) -> list[int]:
-        """The product of two coefficient lists over a prime field, uncounted.
+    # -- polynomial kernels ------------------------------------------------
 
-        Short operands multiply schoolbook-style; longer ones make one
-        big-integer product (Kronecker substitution): each operand is
-        packed into an int with slots wide enough for any coefficient of
-        the product, so no carry crosses a slot.  Exact for any prime.
-        GF(2^m) products stay per-operation in the polynomial layer.
-        """
+    def add(self, a, b) -> list[int]:
+        """a + b; one add per coefficient of the shorter operand."""
+        if len(a) < len(b):
+            a, b = b, a
+        f = self.field
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] = f.add(out[i], c)
+        return out
+
+    def sub(self, a, b) -> list[int]:
+        """a - b; one add per coefficient of b."""
+        f = self.field
+        out = list(a) + [0] * (len(b) - len(a))
+        for i, c in enumerate(b):
+            out[i] = f.sub(out[i], c)
+        return out
+
+    def mul_schoolbook(self, a, b) -> list[int]:
+        """a * b; one add and one mul per pair of coefficients."""
         if not a or not b:
             return []
-        p = self.field.p
-        la, lb = len(a), len(b)
-        if la * lb <= SCHOOLBOOK_MAX:
-            out = [0] * (la + lb - 1)
-            for i, x in enumerate(a):
-                for j, y in enumerate(b):
-                    out[i + j] += x * y
-            return [c % p for c in out]
-        w = (min(la, lb) * (p - 1) ** 2).bit_length() // 8 + 1
-        packed = [int.from_bytes(b"".join([c.to_bytes(w, "little")
-                                           for c in v]), "little")
-                  for v in (a, b)]
-        raw = (packed[0] * packed[1]).to_bytes(w * (la + lb - 1), "little")
-        return [int.from_bytes(raw[i:i + w], "little") % p
-                for i in range(0, len(raw), w)]
+        f = self.field
+        out = [0] * (len(a) + len(b) - 1)
+        for i, ai in enumerate(a):
+            for j, bj in enumerate(b):
+                out[i + j] = f.add(out[i + j], f.mul(ai, bj))
+        return out
+
+    def mul_karatsuba(self, a, b) -> list[int]:
+        """a * b by Karatsuba, schoolbook at or below KARATSUBA_BASE."""
+        if not a or not b:
+            return []
+        n = max(len(a), len(b))
+        if n <= KARATSUBA_BASE or min(len(a), len(b)) == 1:
+            return self.mul_schoolbook(a, b)
+        f = self.field
+        h = n // 2
+        a0, a1 = a[:h], a[h:]
+        b0, b1 = b[:h], b[h:]
+        p0 = self.mul_karatsuba(a0, b0)
+        p2 = self.mul_karatsuba(a1, b1)
+        pm = self.mul_karatsuba(self.add(a0, a1), self.add(b0, b1))
+        p1 = self.sub(self.sub(pm, p0), p2)
+        out = [0] * (len(a) + len(b) - 1)
+        out[:len(p0)] = p0
+        for i, c in enumerate(p1):
+            out[h + i] = f.add(out[h + i], c)
+        for i, c in enumerate(p2):
+            out[2 * h + i] = f.add(out[2 * h + i], c)
+        return out
+
+    def horner(self, a, x: int) -> int:
+        """a(x); one add and one mul per coefficient."""
+        f = self.field
+        acc = 0
+        for c in reversed(a):
+            acc = f.add(f.mul(acc, x), c)
+        return acc
+
+    def divmod(self, a, b) -> tuple[list[int], list[int]]:
+        """Long division by a trimmed nonzero b with len(b) <= len(a).
+
+        Returns the quotient and the len(b) - 1 low coefficients of the
+        remainder, both untrimmed.  A quotient term costs a mul unless b
+        is monic, and one add and one mul per coefficient of b unless the
+        term is zero.
+        """
+        f = self.field
+        a = list(a)
+        db, lead = len(b) - 1, b[-1]
+        ilead = f.inv(lead) if lead != 1 else 1
+        q = [0] * (len(a) - db)
+        for i in range(len(a) - 1, db - 1, -1):
+            c = a[i] if lead == 1 else f.mul(a[i], ilead)
+            q[i - db] = c
+            if c != 0:
+                for j in range(db + 1):
+                    a[i - db + j] = f.sub(a[i - db + j], f.mul(c, b[j]))
+        return q, a[:db]
+
+    def rem_linear(self, a, b) -> int:
+        """[a0, a1] mod the monic [b0, 1]: one Horner step.
+
+        Charged 5 adds and 3 muls, what the series-inverse remainder of
+        the polynomial layer counts for these lengths.
+        """
+        charge(adds=5, muls=3)
+        f = self.field
+        with uncounted():
+            return f.sub(a[0], f.mul(a[1], b[0]))
+
+    def lagrange(self, master, xs, ys) -> list[int]:
+        """The polynomial through (xs, ys), given master = prod (z - x_i)."""
+        f = self.field
+        out = [0] * len(xs)
+        for x, y in zip(xs, ys):
+            # q = master / (z - x) by synthetic division from the top
+            q = [0] * (len(master) - 1)
+            acc = 0
+            for j in range(len(master) - 1, 0, -1):
+                acc = f.add(master[j], f.mul(acc, x))
+                q[j - 1] = acc
+            w = f.mul(y, f.inv(self.horner(q, x)))
+            for j, c in enumerate(q):
+                out[j] = f.add(out[j], f.mul(w, c))
+        return out
+
+    # -- linear algebra ----------------------------------------------------
 
     def matvec(self, matrix, vector) -> tuple[int, ...]:
         """Counted exact matrix-vector product."""
@@ -318,11 +412,144 @@ class LoopKernels:
         return x
 
 
-class Int64Kernels(LoopKernels):
-    """The same kernels as int64 numpy code, charged in bulk.
+@lru_cache(maxsize=1 << 14)
+def _kar_ops(la: int, lb: int) -> tuple[int, int]:
+    """The (adds, muls) `LoopKernels.mul_karatsuba` makes for these lengths."""
+    if not la or not lb:
+        return 0, 0
+    n = max(la, lb)
+    if n <= KARATSUBA_BASE or min(la, lb) == 1:
+        return la * lb, la * lb
+    h = n // 2
+    la0, la1 = min(la, h), max(la - h, 0)
+    lb0, lb1 = min(lb, h), max(lb - h, 0)
+    lp0 = la0 + lb0 - 1
+    lp2 = la1 + lb1 - 1 if la1 and lb1 else 0
+    lpm = max(la0, la1) + max(lb0, lb1) - 1
+    parts = (_kar_ops(la0, lb0), _kar_ops(la1, lb1),
+             _kar_ops(max(la0, la1), max(lb0, lb1)))
+    # the two half-sums, the two subtractions forming the middle product
+    # and the two additions placing the middle and high products
+    adds = min(la0, la1) + min(lb0, lb1) + lp0 + lp2 \
+        + max(lpm, lp0, lp2) + lp2
+    return adds + sum(a for a, _ in parts), sum(m for _, m in parts)
 
-    Exact for a prime p with p^2 < 2^63: every product of two reduced
-    values fits, and products are reduced before they are summed.
+
+class PrimeKernels(LoopKernels):
+    """The polynomial kernels on raw ints mod p, charged in bulk.
+
+    Each kernel charges exactly what its `LoopKernels` version counts for
+    the same operands: the counts follow from the operands' lengths (and,
+    in long division, from which quotient terms vanish).  Exact for any
+    prime; the linear algebra stays on the loops.
+    """
+
+    def __init__(self, field: "PrimeField"):
+        super().__init__(field)
+        self.p = field.p
+
+    def polymul(self, a, b) -> list[int]:
+        """The product of two coefficient lists, uncounted.
+
+        Short operands multiply schoolbook-style; longer ones make one
+        big-integer product (Kronecker substitution): each operand is
+        packed into an int with slots wide enough for any coefficient of
+        the product, so no carry crosses a slot.
+        """
+        if not a or not b:
+            return []
+        p = self.p
+        la, lb = len(a), len(b)
+        if la * lb <= SCHOOLBOOK_MAX:
+            out = [0] * (la + lb - 1)
+            for i, x in enumerate(a):
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+            return [c % p for c in out]
+        w = (min(la, lb) * (p - 1) ** 2).bit_length() // 8 + 1
+        packed = [int.from_bytes(b"".join([c.to_bytes(w, "little")
+                                           for c in v]), "little")
+                  for v in (a, b)]
+        raw = (packed[0] * packed[1]).to_bytes(w * (la + lb - 1), "little")
+        return [int.from_bytes(raw[i:i + w], "little") % p
+                for i in range(0, len(raw), w)]
+
+    def add(self, a, b) -> list[int]:
+        if len(a) < len(b):
+            a, b = b, a
+        p = self.p
+        charge(adds=len(b))
+        return [(x + y) % p for x, y in zip(a, b)] + list(a[len(b):])
+
+    def sub(self, a, b) -> list[int]:
+        p = self.p
+        charge(adds=len(b))
+        return [(x - y) % p for x, y in zip(a, b)] + list(a[len(b):]) \
+            + [-y % p for y in b[len(a):]]
+
+    def mul_schoolbook(self, a, b) -> list[int]:
+        charge(adds=len(a) * len(b), muls=len(a) * len(b))
+        return self.polymul(a, b)
+
+    def mul_karatsuba(self, a, b) -> list[int]:
+        adds, muls = _kar_ops(len(a), len(b))
+        charge(adds=adds, muls=muls)
+        return self.polymul(a, b)
+
+    def horner(self, a, x: int) -> int:
+        p = self.p
+        acc = 0
+        for c in reversed(a):
+            acc = (acc * x + c) % p
+        charge(adds=len(a), muls=len(a))
+        return acc
+
+    def divmod(self, a, b) -> tuple[list[int], list[int]]:
+        p = self.p
+        a = list(a)
+        db, lead = len(b) - 1, b[-1]
+        ilead = self.field.inv(lead) if lead != 1 else 1
+        q = [0] * (len(a) - db)
+        steps = 0
+        for i in range(len(a) - 1, db - 1, -1):
+            c = a[i] * ilead % p
+            q[i - db] = c
+            if c != 0:
+                steps += 1
+                a[i - db:i + 1] = [(x - c * y) % p
+                                   for x, y in zip(a[i - db:i + 1], b)]
+        charge(adds=steps * (db + 1),
+               muls=steps * (db + 1) + (len(q) if lead != 1 else 0))
+        return q, a[:db]
+
+    def rem_linear(self, a, b) -> int:
+        charge(adds=5, muls=3)
+        return (a[0] - a[1] * b[0]) % self.p
+
+    def lagrange(self, master, xs, ys) -> list[int]:
+        p = self.p
+        out = [0] * len(xs)
+        for x, y in zip(xs, ys):
+            q = [0] * (len(master) - 1)
+            acc = 0
+            for j in range(len(master) - 1, 0, -1):
+                acc = (master[j] + acc * x) % p
+                q[j - 1] = acc
+            w = y * pow(self.horner(q, x), -1, p) % p
+            out = [(o + w * c) % p for o, c in zip(out, q)]
+        # per point: the division, the inverse, the scaling and the sum
+        # (`horner` charged the check)
+        n = len(xs)
+        charge(adds=2 * n * n, muls=n * (2 * n + 1), invs=n)
+        return out
+
+
+class Int64Kernels(PrimeKernels):
+    """`PrimeKernels` plus the linear algebra as int64 numpy code.
+
+    Charged in bulk, like the polynomial kernels.  Exact for a prime p
+    with p^2 < 2^63: every product of two reduced values fits, and
+    products are reduced before they are summed.
     """
 
     def matvec(self, matrix, vector) -> tuple[int, ...]:
@@ -333,7 +560,7 @@ class Int64Kernels(LoopKernels):
         v = np.array(vector, dtype=np.int64)
         if M.shape[1] != v.shape[0]:
             raise ValueError("dimension mismatch")
-        p = self.field.p
+        p = self.p
         n, k = M.shape
         # a row sums k reduced products, below k * p < 2^63 for any k that
         # fits in memory
@@ -342,7 +569,7 @@ class Int64Kernels(LoopKernels):
         return tuple(int(x) for x in out)
 
     def solve(self, matrix, rhs) -> list[int] | None:
-        p = self.field.p
+        p = self.p
         n = len(matrix)
         u = len(matrix[0]) if n else 0
         M = np.asarray(matrix, dtype=np.int64).reshape(n, u)
@@ -389,7 +616,7 @@ class Int64Kernels(LoopKernels):
     def locator_system(self, table: Table, values, nq: int, e: int):
         V = table.int64
         g = np.array(values, dtype=np.int64)[:, None]
-        p = self.field.p
+        p = self.p
         M = np.concatenate([V[:, :nq], -g * V[:, :e] % p], axis=1)
         return M, g[:, 0] * V[:, e] % p
 
@@ -445,9 +672,6 @@ class Field:
     def inv(self, a: int) -> int:
         raise NotImplementedError
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def pow_(self, a: int, e: int) -> int:
         """Square-and-multiply exponentiation (e may be negative)."""
         if e < 0:
@@ -467,17 +691,6 @@ class Field:
         if not self.contains(a):
             raise ConfigurationError(f"{a!r} is not a canonical element of {self}")
         return a
-
-    def elem(self, value: int) -> "FieldElement":
-        return FieldElement(self, self.check(value))
-
-    @property
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, 0)
-
-    @property
-    def one(self) -> "FieldElement":
-        return FieldElement(self, 1)
 
     def rand(self, rng: random.Random) -> int:
         return rng.randrange(self.order)
@@ -510,7 +723,7 @@ class PrimeField(Field):
         self.order = p
         self.char = p
         self.kernels = Int64Kernels(self) if p * p < 1 << 63 \
-            else LoopKernels(self)
+            else PrimeKernels(self)
 
     def add(self, a, b):
         c = _ACTIVE
@@ -729,96 +942,6 @@ class BinaryField(Field):
 
     def __repr__(self):
         return f"BinaryField(m={self.m})"
-
-
-class FieldElement:
-    """A field element bound to its field, with operator support.
-
-    Arithmetic between elements of different fields raises
-    ConfigurationError rather than guessing a conversion.
-    """
-
-    __slots__ = ("field", "value")
-
-    def __init__(self, field: Field, value: int):
-        self.field = field
-        self.value = value
-
-    def _coerce(self, other) -> int:
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise ConfigurationError(
-                    f"mixed-field operation: {self.field!r} vs {other.field!r}")
-            return other.value
-        if isinstance(other, int):
-            return other % self.field.order if self.field.kind == "prime" \
-                else self.field.check(other)
-        return NotImplemented  # type: ignore
-
-    def __add__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.add(self.value, v))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.sub(self.value, v))
-
-    def __rsub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.sub(v, self.value))
-
-    def __mul__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.mul(self.value, v))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.div(self.value, v))
-
-    def __rtruediv__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.div(v, self.value))
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg(self.value))
-
-    def __pow__(self, e: int):
-        return FieldElement(self.field, self.field.pow_(self.value, e))
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.field, self.field.inv(self.value))
-
-    def __eq__(self, other):
-        if isinstance(other, FieldElement):
-            return self.field == other.field and self.value == other.value
-        if isinstance(other, int):
-            return self.value == other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.field, self.value))
-
-    def __bool__(self):
-        return self.value != 0
-
-    def __repr__(self):
-        return f"FieldElement({self.value} in {self.field!r})"
 
 
 # A tiny prime field for worked examples.

@@ -17,15 +17,17 @@ Both modes return identical values; only the operation counts differ.
 
 Values and counts come apart:
 
-- Values come from exact bulk arithmetic.  Over a prime field the
-  helpers' loops run on raw ints and each product is one exact bulk
-  multiply (``field.kernels.polymul``); over GF(2^m) the helpers call the
-  field's counted operations one at a time.
+- The coefficient-list arithmetic (sum, difference, schoolbook and
+  Karatsuba products, Horner evaluation, long division, the linear
+  remainder and naive interpolation) lives in ``field.kernels``; this
+  module has one code path over any field.  Over a prime field the
+  kernels run on raw ints and each product is one exact bulk multiply;
+  over GF(2^m) they call the field's counted operations one at a time.
 - Counts are the modelled algorithm's: the schoolbook or Karatsuba
   product, the Newton series division, the Horner step.  They follow from
   the operands' lengths (and, in long division, from which quotient terms
-  vanish), so the prime path `charge()`s them in bulk and both kinds of
-  field charge the same numbers for the same operands.
+  vanish), so the prime kernels `charge()` them in bulk and every backend
+  charges the same numbers for the same operands.
 - Public per-point-set work (a point set's subproduct tree, its inverted
   derivative weights and each tree node's series inverses) is cached per
   field and charged on every use exactly what its first build counted.
@@ -34,12 +36,10 @@ Values and counts come apart:
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .field import ConfigurationError, Field, Memo, Table, charge, uncounted
+from .field import ConfigurationError, Field, Memo, Table, uncounted
 
-KARATSUBA_BASE = 8   # sizes at or below this multiply schoolbook-style
 AUTO_FAST_MIN = 32   # `auto` mode switches to the fast path at this size
 MODES = ("auto", "naive", "fast")
 
@@ -63,158 +63,20 @@ def _trim(a: list[int]) -> list[int]:
     return a[:n]
 
 
-def _ladd(a: list[int], b: list[int], f: Field) -> list[int]:
-    if len(a) < len(b):
-        a, b = b, a
-    if f.kind == "prime":
-        p = f.p
-        charge(adds=len(b))
-        return [(x + y) % p for x, y in zip(a, b)] + list(a[len(b):])
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] = f.add(out[i], c)
-    return out
-
-
-def _lsub(a: list[int], b: list[int], f: Field) -> list[int]:
-    if f.kind == "prime":
-        p = f.p
-        charge(adds=len(b))
-        return [(x - y) % p for x, y in zip(a, b)] + list(a[len(b):]) \
-            + [-y % p for y in b[len(a):]]
-    out = list(a) + [0] * (len(b) - len(a))
-    for i, c in enumerate(b):
-        out[i] = f.sub(out[i], c)
-    return out
-
-
-def _mul_naive(a: list[int], b: list[int], f: Field) -> list[int]:
-    if not a or not b:
-        return []
-    if f.kind == "prime":
-        charge(adds=len(a) * len(b), muls=len(a) * len(b))
-        return f.kernels.polymul(a, b)
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            out[i + j] = f.add(out[i + j], f.mul(ai, bj))
-    return out
-
-
-@lru_cache(maxsize=1 << 14)
-def _kar_ops(la: int, lb: int) -> tuple[int, int]:
-    """The (adds, muls) `_mul_kar` makes for operands of these lengths."""
-    if not la or not lb:
-        return 0, 0
-    n = max(la, lb)
-    if n <= KARATSUBA_BASE or min(la, lb) == 1:
-        return la * lb, la * lb
-    h = n // 2
-    la0, la1 = min(la, h), max(la - h, 0)
-    lb0, lb1 = min(lb, h), max(lb - h, 0)
-    lp0 = la0 + lb0 - 1
-    lp2 = la1 + lb1 - 1 if la1 and lb1 else 0
-    lpm = max(la0, la1) + max(lb0, lb1) - 1
-    parts = (_kar_ops(la0, lb0), _kar_ops(la1, lb1),
-             _kar_ops(max(la0, la1), max(lb0, lb1)))
-    # the two half-sums, the two subtractions forming the middle product
-    # and the two additions placing the middle and high products
-    adds = min(la0, la1) + min(lb0, lb1) + lp0 + lp2 \
-        + max(lpm, lp0, lp2) + lp2
-    return adds + sum(a for a, _ in parts), sum(m for _, m in parts)
-
-
-def _mul_kar(a: list[int], b: list[int], f: Field) -> list[int]:
-    if not a or not b:
-        return []
-    if f.kind == "prime":
-        adds, muls = _kar_ops(len(a), len(b))
-        charge(adds=adds, muls=muls)
-        return f.kernels.polymul(a, b)
-    n = max(len(a), len(b))
-    if n <= KARATSUBA_BASE or min(len(a), len(b)) == 1:
-        return _mul_naive(a, b, f)
-    h = n // 2
-    a0, a1 = a[:h], a[h:]
-    b0, b1 = b[:h], b[h:]
-    p0 = _mul_kar(a0, b0, f)
-    p2 = _mul_kar(a1, b1, f)
-    pm = _mul_kar(_ladd(a0, a1, f), _ladd(b0, b1, f), f)
-    p1 = _lsub(_lsub(pm, p0, f), p2, f)
-    out = [0] * (len(a) + len(b) - 1)
-    for i, c in enumerate(p0):
-        out[i] = c
-    for i, c in enumerate(p1):
-        out[h + i] = f.add(out[h + i], c)
-    for i, c in enumerate(p2):
-        out[2 * h + i] = f.add(out[2 * h + i], c)
-    return out
-
-
-def _mul(a: list[int], b: list[int], f: Field, mode: str) -> list[int]:
-    if mode == "fast":
-        return _mul_kar(a, b, f)
-    return _mul_naive(a, b, f)
-
-
-def _eval_at(a: list[int], x: int, f: Field) -> int:
-    acc = 0
-    if f.kind == "prime":
-        p = f.p
-        for c in reversed(a):
-            acc = (acc * x + c) % p
-        charge(adds=len(a), muls=len(a))
-        return acc
-    for c in reversed(a):
-        acc = f.add(f.mul(acc, x), c)
-    return acc
-
-
 def _deriv(a: list[int], f: Field) -> list[int]:
     return [f.mul(a[i], i % f.char) for i in range(1, len(a))]
 
 
-def _divmod_naive(a: list[int], b: list[int], f: Field):
-    b = _trim(list(b))
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = list(a)
-    db, lead = len(b) - 1, b[-1]
-    if len(a) - 1 < db:
-        return [], _trim(a)
-    ilead = f.inv(lead) if lead != 1 else 1
-    q = [0] * (len(a) - db)
-    if f.kind == "prime":
-        p = f.p
-        steps = 0
-        for i in range(len(a) - 1, db - 1, -1):
-            c = a[i] * ilead % p
-            q[i - db] = c
-            if c != 0:
-                steps += 1
-                a[i - db:i + 1] = [(x - c * y) % p
-                                   for x, y in zip(a[i - db:i + 1], b)]
-        charge(adds=steps * (db + 1),
-               muls=steps * (db + 1) + (len(q) if lead != 1 else 0))
-        return _trim(q), _trim(a[:db])
-    for i in range(len(a) - 1, db - 1, -1):
-        c = a[i] if lead == 1 else f.mul(a[i], ilead)
-        q[i - db] = c
-        if c != 0:
-            for j in range(db + 1):
-                a[i - db + j] = f.sub(a[i - db + j], f.mul(c, b[j]))
-    return _trim(q), _trim(a[:db])
-
-
 def _series_inv(s: list[int], k: int, f: Field) -> list[int]:
     """Inverse of the power series s modulo z^k (s[0] must be invertible)."""
+    kern = f.kernels
     g = [f.inv(s[0])] if s[0] != 1 else [1]
     prec = 1
     two = [f.add(1, 1)]
     while prec < k:
         prec = min(2 * prec, k)
-        w = _lsub(two, _mul_kar(s[:prec], g, f)[:prec], f)
-        g = _mul_kar(g, w, f)[:prec]
+        w = kern.sub(two, kern.mul_karatsuba(s[:prec], g)[:prec])
+        g = kern.mul_karatsuba(g, w)[:prec]
     return g + [0] * (k - len(g))
 
 
@@ -234,13 +96,12 @@ class SubproductTree:
     def __init__(self, xs: Sequence[int], f: Field):
         self.field = f
         self.xs = tuple(xs)
+        mul = f.kernels.mul_karatsuba
         level = [[f.neg(x), 1] for x in xs]
         self.levels = [level]
         while len(level) > 1:
-            nxt = [
-                _mul_kar(level[i], level[i + 1], f)
-                for i in range(0, len(level) - 1, 2)
-            ]
+            nxt = [mul(level[i], level[i + 1])
+                   for i in range(0, len(level) - 1, 2)]
             if len(level) % 2:
                 nxt.append(level[-1])
             level = nxt
@@ -268,21 +129,16 @@ class SubproductTree:
         db = len(b) - 1
         if len(a) - 1 < db:
             return list(a)
+        kern = f.kernels
         if len(a) == 2 and db == 1:
-            # a mod (z - x) is a(x): one Horner step, charged what the
-            # series route below counts for these lengths
-            charge(adds=5, muls=3)
-            if f.kind == "prime":
-                r = (a[0] - a[1] * b[0]) % f.p
-            else:
-                with uncounted():
-                    r = f.sub(a[0], f.mul(a[1], b[0]))
+            # a mod (z - x) is a(x)
+            r = kern.rem_linear(a, b)
             return [r] if r else []
         k = len(a) - db
         inv = self._memo.get((lev, j, k),
                              lambda: _series_inv(b[::-1], k, f))
-        q = _mul_kar(a[:-k - 1:-1], inv, f)[k - 1::-1]
-        return _trim(_lsub(a[:db], _mul_kar(q, b, f)[:db], f))
+        q = kern.mul_karatsuba(a[:-k - 1:-1], inv)[k - 1::-1]
+        return _trim(kern.sub(a[:db], kern.mul_karatsuba(q, b)[:db]))
 
     def weights(self) -> tuple[int, ...]:
         """1 / M'(x_i) for the root M, at every tree point (cached)."""
@@ -292,15 +148,15 @@ class SubproductTree:
 
     def combine(self, ws: Sequence[int]) -> list[int]:
         """Build sum_i w_i * prod_{j != i} (z - x_j) bottom-up."""
-        f = self.field
+        kern = self.field.kernels
         cur: list[list[int]] = [[w] for w in ws]
         for lev in range(len(self.levels) - 1):
             nodes = self.levels[lev]
             nxt = []
             for i in range(0, len(nodes) - 1, 2):
-                left = _mul_kar(cur[i], nodes[i + 1], f)
-                right = _mul_kar(cur[i + 1], nodes[i], f)
-                nxt.append(_ladd(left, right, f))
+                left = kern.mul_karatsuba(cur[i], nodes[i + 1])
+                right = kern.mul_karatsuba(cur[i + 1], nodes[i])
+                nxt.append(kern.add(left, right))
             if len(nodes) % 2:
                 nxt.append(cur[-1])
             cur = nxt
@@ -328,31 +184,8 @@ def _interp_naive(xs, ys, f: Field) -> list[int]:
     # master polynomial M = prod (z - x_i), then per-point synthetic division
     master = [1]
     for x in xs:
-        master = _mul_naive(master, [f.neg(x), 1], f)
-    out = [0] * len(xs)
-    p = f.p if f.kind == "prime" else None
-    for x, y in zip(xs, ys):
-        # q = master / (z - x) by synthetic division from the top
-        q = [0] * (len(master) - 1)
-        acc = 0
-        if p is not None:
-            for j in range(len(master) - 1, 0, -1):
-                acc = (master[j] + acc * x) % p
-                q[j - 1] = acc
-            w = y * pow(_eval_at(q, x, f), -1, p) % p
-            out = [(o + w * c) % p for o, c in zip(out, q)]
-        else:
-            for j in range(len(master) - 1, 0, -1):
-                acc = f.add(master[j], f.mul(acc, x))
-                q[j - 1] = acc
-            w = f.mul(y, f.inv(_eval_at(q, x, f)))
-            for j, c in enumerate(q):
-                out[j] = f.add(out[j], f.mul(w, c))
-    if p is not None:
-        # per point: the division, the inverse, the scaling and the sum
-        n = len(xs)
-        charge(adds=2 * n * n, muls=n * (2 * n + 1), invs=n)
-    return out
+        master = f.kernels.mul_schoolbook(master, [f.neg(x), 1])
+    return f.kernels.lagrange(master, xs, ys)
 
 
 def _interp_fast(xs, ys, f: Field) -> list[int]:
@@ -386,7 +219,8 @@ def multipoint_eval(poly: "DensePoly", xs: Sequence[int],
     m = _resolve(mode, len(xs))
     if m == "fast" and len(xs) > 1:
         return _tree(xs, f).remainders(list(poly.coeffs))
-    return [_eval_at(list(poly.coeffs), x, f) for x in xs]
+    coeffs = list(poly.coeffs)
+    return [f.kernels.horner(coeffs, x) for x in xs]
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +253,7 @@ class DensePoly:
         return not self.coeffs
 
     def __call__(self, x: int) -> int:
-        return _eval_at(list(self.coeffs), x, self.field)
+        return self.field.kernels.horner(list(self.coeffs), x)
 
     def _want(self, other: "DensePoly") -> None:
         if not isinstance(other, DensePoly) or other.field != self.field:
@@ -427,26 +261,31 @@ class DensePoly:
 
     def __add__(self, other: "DensePoly") -> "DensePoly":
         self._want(other)
-        return DensePoly(self.field,
-                         _ladd(list(self.coeffs), list(other.coeffs), self.field))
+        return DensePoly(self.field, self.field.kernels.add(
+            list(self.coeffs), list(other.coeffs)))
 
     def __sub__(self, other: "DensePoly") -> "DensePoly":
         self._want(other)
-        return DensePoly(self.field,
-                         _lsub(list(self.coeffs), list(other.coeffs), self.field))
+        return DensePoly(self.field, self.field.kernels.sub(
+            list(self.coeffs), list(other.coeffs)))
 
     def mul(self, other: "DensePoly", mode: str = "auto") -> "DensePoly":
         self._want(other)
         m = _resolve(mode, max(len(self.coeffs), len(other.coeffs)))
-        return DensePoly(self.field,
-                         _mul(list(self.coeffs), list(other.coeffs), self.field, m))
+        kern = self.field.kernels
+        mul = kern.mul_karatsuba if m == "fast" else kern.mul_schoolbook
+        return DensePoly(self.field, mul(list(self.coeffs), list(other.coeffs)))
 
     def __mul__(self, other: "DensePoly") -> "DensePoly":
         return self.mul(other)
 
     def divmod(self, other: "DensePoly") -> tuple["DensePoly", "DensePoly"]:
         self._want(other)
-        q, r = _divmod_naive(list(self.coeffs), list(other.coeffs), self.field)
+        if not other.coeffs:
+            raise ZeroDivisionError("polynomial division by zero")
+        if len(self.coeffs) < len(other.coeffs):
+            return DensePoly.zero(self.field), self
+        q, r = self.field.kernels.divmod(self.coeffs, other.coeffs)
         return DensePoly(self.field, q), DensePoly(self.field, r)
 
     def __eq__(self, other) -> bool:

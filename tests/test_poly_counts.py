@@ -14,7 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from codedsm.field import OpCounter, PrimeField, counting, parse_field
+from codedsm.field import (LoopKernels, OpCounter, PrimeField, PrimeKernels,
+                           counting, parse_field)
 from codedsm.poly import DensePoly, interpolate, multipoint_eval
 from codedsm.simnet import ExperimentConfig, run_experiment
 
@@ -232,33 +233,36 @@ def test_golden_run_costs_and_log(name):
 
 
 # ---------------------------------------------------------------------------
-# bulk prime arithmetic against the per-operation path
+# bulk prime kernels against the per-operation loops
 # ---------------------------------------------------------------------------
 
-class PerOpPrimeField(PrimeField):
-    """F_p whose polynomial arithmetic takes the per-operation path.
+def _loop_twin(p):
+    """F_p with the per-operation `LoopKernels`: the reference.
 
-    The polynomial layer computes in bulk only for fields of kind
-    ``prime``; under another kind name the same arithmetic goes through
-    one counted field call per operation, which makes it the reference.
+    Every polynomial kernel then makes one counted field call per
+    operation, as over GF(2^m).
     """
-
-    kind = "prime-per-op"
+    g = PrimeField(p)
+    g.kernels = LoopKernels(g)
+    assert type(g.kernels) is LoopKernels
+    return g
 
 
 def _both(f, g, fn):
-    """fn's result and counts over a bulk field f and its per-op twin g."""
+    """fn's result and counts over a bulk field f and its loop twin g."""
     (cf, rf), (cg, rg) = _counted(lambda: fn(f)), _counted(lambda: fn(g))
     return cf, cg, rf, rg
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 70), st.integers(1, 70), st.integers(0, 1 << 30),
-       st.sampled_from([5, 97, 2147483647]))
+       st.sampled_from([5, 97, 2147483647, (1 << 61) - 1]))
 def test_bulk_prime_path_charges_the_per_op_counts(n, m, seed, p):
     # small primes make zero coefficients common, so remainders get
     # trimmed and long division skips quotient terms: both change counts
-    f, g = PrimeField(p), PerOpPrimeField(p)
+    f, g = PrimeField(p), _loop_twin(p)
+    # int64 below 2^31.5, exact ints above: both must match the loops
+    assert isinstance(f.kernels, PrimeKernels)
     rng = random.Random(seed)
     xs = rng.sample(range(p), min(n, p))
     ys = [rng.randrange(p) for _ in xs]
@@ -272,6 +276,11 @@ def test_bulk_prime_path_charges_the_per_op_counts(n, m, seed, p):
             lambda F: DensePoly(F, cs).mul(DensePoly(F, ds), mode).coeffs,
             lambda F: tuple(r.coeffs for r in
                             DensePoly(F, cs).divmod(DensePoly(F, ds))),
+            lambda F: (DensePoly(F, cs) + DensePoly(F, ds)).coeffs,
+            lambda F: (DensePoly(F, cs) - DensePoly(F, ds)).coeffs,
+            # a longer second operand: the difference's tail is -b
+            lambda F: (DensePoly(F, cs) + DensePoly(F, ds + cs)).coeffs,
+            lambda F: (DensePoly(F, cs) - DensePoly(F, ds + cs)).coeffs,
         )
         for fn in cases:
             for _ in range(2):  # cold, then warm
