@@ -160,10 +160,10 @@ class Memo:
 
     ``get`` builds a missing value once and, on every call, hit or miss,
     charges the active counter what that build counted.  So a hit saves
-    time but never changes a count.
+    time but never changes a count.  ``size=None`` keeps every entry.
     """
 
-    def __init__(self, size: int):
+    def __init__(self, size: int | None = None):
         self.size = size
         self._items: dict = {}
 
@@ -176,7 +176,7 @@ class Memo:
             cost = OpCounter()
             with counting(cost):
                 value = build()
-            if len(self._items) >= self.size:
+            if self.size is not None and len(self._items) >= self.size:
                 del self._items[next(iter(self._items))]
             item = self._items[key] = (value, cost)
         value, cost = item
@@ -567,6 +567,29 @@ class Int64Kernels(PrimeKernels):
         out = (M * v[None, :] % p).sum(axis=1) % p
         charge(adds=n * max(0, k - 1), muls=n * k)
         return tuple(int(x) for x in out)
+
+    def lagrange(self, master, xs, ys) -> list[int]:
+        # `PrimeKernels.lagrange` run for every point at once: row i of q is
+        # master / (z - x_i), and h_i = q_i(x_i) the Horner check
+        n = len(xs)
+        if not n:
+            return []
+        p = self.p
+        x = np.array(xs, dtype=np.int64)
+        q = np.zeros((n, n), dtype=np.int64)
+        acc = np.zeros(n, dtype=np.int64)
+        for j in range(n, 0, -1):
+            acc = (master[j] + acc * x) % p
+            q[:, j - 1] = acc
+        h = np.zeros(n, dtype=np.int64)
+        for j in range(n - 1, -1, -1):
+            h = (h * x + q[:, j]) % p
+        w = np.array([y * pow(int(d), -1, p) % p for y, d in zip(ys, h)],
+                     dtype=np.int64)
+        # a column sums n reduced products, below n * p < 2^63
+        out = (w[:, None] * q % p).sum(axis=0) % p
+        charge(adds=3 * n * n, muls=n * (3 * n + 1), invs=n)
+        return [int(c) for c in out]
 
     def solve(self, matrix, rhs) -> list[int] | None:
         p = self.p

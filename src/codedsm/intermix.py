@@ -13,6 +13,15 @@ The same machinery verifies the coded-state pipeline when its encoding and
 decoding work is delegated: encoding claims are products with the public
 coding matrix, and a decode claim (coefficients plus an agreement set) is
 checked as two product claims against public Vandermonde tables.
+
+In delegated coding every honest role that recomputes a route (the
+worker's interpolation and evaluation, each auditor's recomputation, each
+committee member's counter-decode) runs the same public function on the
+same broadcast inputs.  Within one ``delegated_*`` call such a route is
+therefore computed once per distinct input, through a `Memo`, and every
+role that runs it is charged what that one run counted: the counted cost
+(and so lambda) still includes each auditor's full recomputation, only the
+simulator's wall-clock work is shared.
 """
 
 from __future__ import annotations
@@ -30,7 +39,8 @@ from .csm import (
     decode_budget,
     decode_claim,
 )
-from .field import ConfigurationError, CounterBoard, Field, OpCounter, counting
+from .field import (ConfigurationError, CounterBoard, Field, Memo, OpCounter,
+                    counting)
 from .poly import DensePoly, interpolate, multipoint_eval
 from .rs import decode  # noqa: F401  (perfbench/tracer.py wraps this name)
 
@@ -136,7 +146,9 @@ class Worker:
     ``claim_fn`` lets the honest computation run through a different route
     than a plain row-by-row product (the delegated coder interpolates and
     evaluates instead); the announced claim must still be a vector the
-    audit can dispute against ``matrix`` and ``vector``.
+    audit can dispute against ``matrix`` and ``vector``.  Tampering is
+    applied to a copy of what ``claim_fn`` returns, so a route shared with
+    the auditors is never the announced claim.
     """
 
     def __init__(self, fld: Field, matrix, vector,
@@ -445,9 +457,11 @@ def run_session(fld: Field, matrix, vector, worker: Worker,
 
     ``auditor_strategy(node) -> str`` assigns each committee member one of
     the catalog behaviors. ``expected_fn()`` supplies an auditor's own
-    recomputation route (counted in that auditor's scope) when the direct
-    product is not the route being measured. ``phase`` names the protocol
-    stage the verification work is accounted under.
+    recomputation route when the direct product is not the route being
+    measured; it is called once per honest auditor, in that auditor's
+    scope, and must charge the full route each time even when it returns a
+    shared result.  ``phase`` names the protocol stage the verification
+    work is accounted under.
     """
     if channel != "broadcast":
         raise ConfigurationError(
@@ -590,7 +604,9 @@ def delegated_encode(vectors, dele: Delegation,
     The honest worker interpolates each coordinate through the K data
     points and evaluates at the N storage points; auditors redo exactly
     that, so the audited cost tracks the claimed computation instead of a
-    quadratic fallback product.
+    quadratic fallback product.  The route runs once per distinct column
+    in this call, re-elections included, and the worker and every honest
+    auditor that runs it are each charged its full count.
     """
     cfg = dele.cfg
     k, n = cfg.k_machines, cfg.n_nodes
@@ -599,10 +615,13 @@ def delegated_encode(vectors, dele: Delegation,
     dim = len(vectors[0])
     rows = cfg.domain.coeffs()
     omegas, alphas = list(cfg.domain.omegas), list(cfg.domain.alphas)
+    routes = Memo()
 
     def eval_route(col):
-        poly = interpolate(zip(omegas, col), cfg.field, dele.mode)
-        return tuple(multipoint_eval(poly, alphas, dele.mode))
+        def build():
+            poly = interpolate(zip(omegas, col), cfg.field, dele.mode)
+            return tuple(multipoint_eval(poly, alphas, dele.mode))
+        return routes.get(col, build)
 
     def task(w, strategy, committee):
         cols = [tuple(v[j] for v in vectors) for j in range(dim)]
@@ -638,8 +657,8 @@ def delegated_update(decoded_states, dele: Delegation) -> DelegationOutcome:
 
 def verify_decode_claim(g_values, claim: DecodeClaim, cfg: CodingConfig,
                         defender: int, committee_members, dele: Delegation,
-                        reply: str = "truthful",
-                        phase: str = "psi") -> tuple[bool, str, int]:
+                        reply: str = "truthful", phase: str = "psi",
+                        routes: Memo | None = None) -> tuple[bool, str, int]:
     """Check an announced decode against public data via audited products.
 
     Two claims per coordinate: the coefficients must reproduce the agreed
@@ -648,8 +667,13 @@ def verify_decode_claim(g_values, claim: DecodeClaim, cfg: CodingConfig,
     evaluated at the data points. Any two claims passing the agreement
     floor share enough points to force identical polynomials, so a
     fabricated claim always trips one of the products.
+
+    The auditors' evaluations are shared through ``routes`` (a fresh
+    `Memo` when None), keyed by the announced coefficients and the points,
+    so a forged claim never meets an honest claim's entry.
     """
     cfg_f = cfg.field
+    routes = Memo() if routes is None else routes
     g_values, budget, violation = decode_budget(g_values, cfg)
     if violation is not None:
         return False, violation, 0
@@ -672,14 +696,18 @@ def verify_decode_claim(g_values, claim: DecodeClaim, cfg: CodingConfig,
     v_rows = cfg_f.kernels.power_table(alphas_tau, width)
     o_rows = cfg_f.kernels.power_table(cfg.domain.omegas, width)
     strategy = WorkerStrategy(reply=reply) if reply != "truthful" else HONEST
+
+    def eval_route(poly, points):
+        return routes.get((poly.coeffs, points), lambda: tuple(
+            multipoint_eval(poly, points, dele.mode)))
+
     for j in range(dim):
         b = claim.coeffs[j]
         agreed = tuple(g_values[i][j] for i in claim.tau)
         announced = tuple(claim.evals[mk][j] for mk in range(cfg.k_machines))
         poly = DensePoly(cfg_f, b)
-        for rows, target, points in ((v_rows, agreed, list(alphas_tau)),
-                                     (o_rows, announced,
-                                      list(cfg.domain.omegas))):
+        for rows, target, points in ((v_rows, agreed, alphas_tau),
+                                     (o_rows, announced, cfg.domain.omegas)):
             worker = Worker(cfg_f, rows, b, strategy,
                             claim_fn=lambda t=target: t,
                             board=dele.board, name=f"node{defender}",
@@ -688,8 +716,7 @@ def verify_decode_claim(g_values, claim: DecodeClaim, cfg: CodingConfig,
                 cfg_f, rows, b, worker, committee_members,
                 auditor_strategy=dele.auditor_policy, board=dele.board,
                 channel=dele.channel,
-                expected_fn=lambda p=poly, pts=points: tuple(
-                    multipoint_eval(p, pts, dele.mode)),
+                expected_fn=lambda p=poly, pts=points: eval_route(p, pts),
                 phase=phase)
             comparisons += res.comparisons
             if not res.accepted:
@@ -715,19 +742,28 @@ def delegated_decode(g_values, dele: Delegation) -> DelegationOutcome:
     on a decodable round is unseated and a fresh worker elected; a round
     that genuinely cannot be decoded is reported as a violation once the
     committee concurs.
+
+    The worker's honest decode and every honest member's counter-decode
+    share one run, as do the auditors' evaluations across re-elections;
+    each role is still charged the full count of what it runs.
     """
     cfg = dele.cfg
     g_values, budget, violation = decode_budget(g_values, cfg)
     if violation is not None:
         rr = RoundResult.failed(g_values, violation)
         return DelegationOutcome(True, rr, violation, None, 0, 0, ())
+    routes = Memo()
+
+    def honest_claim():
+        return routes.get("decode", lambda: decode_claim(
+            g_values, cfg, budget, dele.mode))
 
     def task(w, strategy, committee):
         comparisons = 0
         if strategy.fail_claim and strategy.reply == "silent":
             return False, None, "worker-nonresponsive", comparisons
         with dele.board.scope(f"node{w}", "psi"):
-            honest = decode_claim(g_values, cfg, budget, dele.mode)
+            honest = honest_claim()
         announced = None if strategy.fail_claim else honest
         if announced is not None and strategy.deltas:
             announced = _tampered_claim(announced, strategy, cfg.field)
@@ -738,14 +774,15 @@ def delegated_decode(g_values, dele: Delegation) -> DelegationOutcome:
                 if dele.auditor_policy(node) != "honest":
                     continue
                 with dele.board.scope(f"node{node}", "psi"):
-                    counter = decode_claim(g_values, cfg, budget, dele.mode)
+                    counter = honest_claim()
                 if counter is None:
                     continue
                 others = AuditCommittee(
                     tuple(m for m in committee.members if m != node),
                     committee.target_size, committee.seed)
                 ok, _, comps = verify_decode_claim(
-                    g_values, counter, cfg, node, others, dele)
+                    g_values, counter, cfg, node, others, dele,
+                    routes=routes)
                 comparisons += comps
                 if ok:
                     return False, None, "false failure claim", comparisons
@@ -753,7 +790,7 @@ def delegated_decode(g_values, dele: Delegation) -> DelegationOutcome:
             return True, rr, "decode-failure-concurred", comparisons
         ok, reason, comps = verify_decode_claim(
             g_values, announced, cfg, w, committee, dele,
-            reply=strategy.reply)
+            reply=strategy.reply, routes=routes)
         comparisons += comps
         if not ok:
             return False, None, reason, comparisons

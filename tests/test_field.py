@@ -315,6 +315,30 @@ def test_int64_kernels_match_loop_kernels(data, n, k):
     assert F97.kernels.power_table(pts, k) == loop.power_table(pts, k)
 
 
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), n=st.integers(1, 40),
+       p=st.sampled_from([97, (1 << 31) - 1]))
+def test_int64_lagrange_matches_loop_kernels(data, n, p):
+    # values and counts: the vectorised kernel charges the loops' counts
+    fld = PrimeField(p)
+    assert isinstance(fld.kernels, Int64Kernels)
+    loop = LoopKernels(fld)
+    elem = st.integers(0, p - 1)
+    xs = data.draw(st.lists(elem, min_size=min(n, p), max_size=min(n, p),
+                            unique=True))
+    ys = data.draw(st.lists(elem, min_size=len(xs), max_size=len(xs)))
+    master = [1]
+    for x in xs:
+        master = loop.mul_schoolbook(master, [fld.neg(x), 1])
+    want, got = OpCounter(), OpCounter()
+    with counting(want):
+        expected = loop.lagrange(master, xs, ys)
+    with counting(got):
+        assert fld.kernels.lagrange(master, xs, ys) == expected
+    assert got == want
+    assert [loop.horner(expected, x) for x in xs] == ys
+
+
 def test_power_table_is_cached_and_uncounted():
     c = OpCounter()
     with counting(c):

@@ -7,12 +7,14 @@ halving dispute plus the commoner's single-operation check.
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from codedsm import intermix, simnet
 from codedsm.csm import (
     CodingConfig,
     DecodeClaim,
@@ -21,6 +23,7 @@ from codedsm.csm import (
     encode_commands,
     encode_states,
     execute_local,
+    update_coded_states,
 )
 from codedsm.field import (
     ConfigurationError,
@@ -29,6 +32,7 @@ from codedsm.field import (
     PrimeField,
     counting,
     f11,
+    uncounted,
 )
 from codedsm.intermix import (
     AuditTranscript,
@@ -524,3 +528,96 @@ def test_delegation_gives_up_after_all_workers_burned():
     assert len(out.rejected_workers) == cfg.n_nodes
     assert not out.value.success
     assert out.value.violation.startswith("delegation failed")
+
+
+def _count_routes(monkeypatch):
+    """Count the delegated routes' runs, keyed by their inputs."""
+    calls = Counter()
+    real = {name: getattr(intermix, name)
+            for name in ("interpolate", "multipoint_eval", "decode_claim")}
+
+    def interpolate(points, fld, mode):
+        points = tuple(points)
+        calls["interpolate", points] += 1
+        return real["interpolate"](points, fld, mode)
+
+    def multipoint_eval(poly, xs, mode):
+        calls["multipoint_eval", poly.coeffs, tuple(xs)] += 1
+        return real["multipoint_eval"](poly, xs, mode)
+
+    def decode_claim(g_values, cfg, budget, mode):
+        calls["decode_claim", tuple(g_values), budget] += 1
+        return real["decode_claim"](g_values, cfg, budget, mode)
+
+    for name, fn in (("interpolate", interpolate),
+                     ("multipoint_eval", multipoint_eval),
+                     ("decode_claim", decode_claim)):
+        monkeypatch.setattr(intermix, name, fn)
+    return calls
+
+
+@pytest.mark.parametrize("mode", ["auto", "fast"])
+def test_each_delegated_route_runs_once_per_call(monkeypatch, mode):
+    # The worker, every honest auditor and every re-elected worker run the
+    # same public routes on the same inputs; within one delegated call each
+    # distinct input is computed once, and the accepted value is still the
+    # direct one.
+    calls = _count_routes(monkeypatch)
+    direct = {"delegated_encode": encode_commands,
+              "delegated_update": update_coded_states,
+              "delegated_decode": lambda g, cfg: decode_round(g, cfg, mode)}
+    seen = Counter()
+    reelections = 0
+
+    def checked(name):
+        real = getattr(simnet, name)
+
+        def call(values, dele, *args, **kwargs):
+            nonlocal reelections
+            calls.clear()
+            out = real(values, dele, *args, **kwargs)
+            assert calls and max(calls.values()) == 1, (name, calls)
+            seen.update(key[0] for key in calls)
+            reelections += len(out.rejected_workers)
+            assert out.accepted
+            with uncounted():
+                assert out.value == direct[name](values, dele.cfg)
+            return out
+        monkeypatch.setattr(simnet, name, call)
+
+    for name in direct:
+        checked(name)
+    res = simnet.run_experiment(simnet.ExperimentConfig(
+        protocol="csm", n_nodes=16, degree=1, fault_fraction=Fraction(1, 4),
+        delegate=True, adversary="dishonest_worker", poly_mode=mode,
+        rounds=5, seed=3))
+    assert res.rounds_run == 5 and not res.violations
+    assert set(seen) == {"interpolate", "multipoint_eval", "decode_claim"}
+    assert reelections > 0
+
+
+def test_counter_decodes_share_one_run_and_are_each_charged(monkeypatch):
+    calls = _count_routes(monkeypatch)
+    cfg = fresh_cfg()
+    rng = random.Random(32)
+    _, _, g = run_one_round(cfg, rng)
+    probe = Delegation(cfg, beacon=5)
+    first = probe.beacon.choice(range(cfg.n_nodes))
+    strat = {first: WorkerStrategy(fail_claim=True)}
+    dele = Delegation(cfg, beacon=5,
+                      worker_strategy_for=lambda i: strat.get(i))
+    out = delegated_decode(g, dele)
+    assert out.accepted and first in out.rejected_workers
+    assert [n for (route, *_), n in calls.items()
+            if route == "decode_claim"] == [1]
+    # yet the failing worker, the member that defended its counter-decode
+    # and the next worker were each charged the full decode
+    solo = OpCounter()
+    with counting(solo):
+        decode_claim(g, cfg, cfg.b)
+    assert solo.total() > 0
+    assert dele.board.get(f"node{first}", "psi") == solo
+    others = sum(c.total() for (owner, phase), c in dele.board.counters.items()
+                 if phase == "psi" and owner.startswith("node")
+                 and owner != f"node{first}")
+    assert others >= 2 * solo.total()
