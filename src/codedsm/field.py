@@ -11,17 +11,16 @@ if any.  The simulation layer switches counters when it runs code on behalf
 of a node, a worker, or an auditor, which is how per-role complexity is
 measured without threading counter objects through every call site.
 
-Bulk arithmetic (power tables of public points, matrix-vector products,
-linear solves and the polynomial layer's coefficient-list arithmetic)
-lives here too, in each field's ``kernels``.  The field picks them once,
-at construction:
+Bulk arithmetic (power tables of public points, matrix-vector products
+and the polynomial layer's coefficient-list arithmetic) lives here too,
+in each field's ``kernels``.  The field picks them once, at construction:
 
 - `LoopKernels` for GF(2^m): every kernel is a loop over the field's
   counted operations.  It is also the reference the others must match.
 - `PrimeKernels` for a prime p with p^2 >= 2^63: the polynomial kernels
   run on raw ints and charge the loops' counts in bulk.
 - `Int64Kernels` for any other prime: `PrimeKernels` plus int64 numpy
-  linear algebra.
+  matrix-vector products and naive interpolation.
 
 The kernels also keep the bounded caches of public per-point-set work
 (`Memo`).
@@ -232,21 +231,6 @@ class LoopKernels:
                 rows.append(tuple(row))
         return Table(rows)
 
-    def locator_system(self, table: Table, values, nq: int, e: int):
-        """The Berlekamp-Welch rows [V[:, :nq] | -g V[:, :e]] and g V[:, e].
-
-        V is the power table and g the received values.  Uncounted: the
-        caller charges the products by the size of the system.
-        """
-        f = self.field
-        M, rhs = [], []
-        with uncounted():
-            for row, g in zip(table, values):
-                ng = f.neg(g)
-                M.append(row[:nq] + tuple([f.mul(ng, x) for x in row[:e]]))
-                rhs.append(f.mul(g, row[e]))
-        return M, rhs
-
     # -- polynomial kernels ------------------------------------------------
 
     def add(self, a, b) -> list[int]:
@@ -357,7 +341,7 @@ class LoopKernels:
                 out[j] = f.add(out[j], f.mul(w, c))
         return out
 
-    # -- linear algebra ----------------------------------------------------
+    # -- matrix-vector product ---------------------------------------------
 
     def matvec(self, matrix, vector) -> tuple[int, ...]:
         """Counted exact matrix-vector product."""
@@ -371,46 +355,6 @@ class LoopKernels:
                 acc = f.add(acc, f.mul(a, x))
             out.append(acc)
         return tuple(out)
-
-    def solve(self, matrix, rhs) -> list[int] | None:
-        """Reduced-row-echelon solve of M x = rhs; None if inconsistent.
-
-        Free variables are set to zero and the pivot is the first row with
-        a nonzero entry, so every backend gives the same solution.
-        """
-        f = self.field
-        n = len(matrix)
-        u = len(matrix[0]) if n else 0
-        A = [list(matrix[i]) + [rhs[i]] for i in range(n)]
-        row = 0
-        pivots = []
-        for col in range(u):
-            if row == n:
-                break
-            sel = next((r for r in range(row, n) if A[r][col] != 0), None)
-            if sel is None:
-                continue
-            if sel != row:
-                A[row], A[sel] = A[sel], A[row]
-            a = A[row][col]
-            if a != 1:
-                inv = f.inv(a)
-                A[row] = [f.mul(v, inv) for v in A[row]]
-            for r in range(n):
-                if r != row and A[r][col] != 0:
-                    fac = A[r][col]
-                    A[r] = [f.sub(v, f.mul(fac, w))
-                            for v, w in zip(A[r], A[row])]
-            pivots.append((row, col))
-            row += 1
-        for r in range(row, n):
-            if A[r][u] != 0:
-                return None
-        x = [0] * u
-        for r, c in pivots:
-            x[c] = A[r][u]
-        return x
-
 
 @lru_cache(maxsize=1 << 14)
 def _kar_ops(la: int, lb: int) -> tuple[int, int]:
@@ -441,7 +385,7 @@ class PrimeKernels(LoopKernels):
     Each kernel charges exactly what its `LoopKernels` version counts for
     the same operands: the counts follow from the operands' lengths (and,
     in long division, from which quotient terms vanish).  Exact for any
-    prime; the linear algebra stays on the loops.
+    prime; the matrix-vector product stays on the loops.
     """
 
     def __init__(self, field: "PrimeField"):
@@ -545,7 +489,7 @@ class PrimeKernels(LoopKernels):
 
 
 class Int64Kernels(PrimeKernels):
-    """`PrimeKernels` plus the linear algebra as int64 numpy code.
+    """`PrimeKernels` plus matvec and naive interpolation as int64 numpy code.
 
     Charged in bulk, like the polynomial kernels.  Exact for a prime p
     with p^2 < 2^63: every product of two reduced values fits, and
@@ -590,58 +534,6 @@ class Int64Kernels(PrimeKernels):
         out = (w[:, None] * q % p).sum(axis=0) % p
         charge(adds=3 * n * n, muls=n * (3 * n + 1), invs=n)
         return [int(c) for c in out]
-
-    def solve(self, matrix, rhs) -> list[int] | None:
-        p = self.p
-        n = len(matrix)
-        u = len(matrix[0]) if n else 0
-        M = np.asarray(matrix, dtype=np.int64).reshape(n, u)
-        b = np.asarray(rhs, dtype=np.int64)
-        A = np.concatenate([M % p, b[:, None] % p], axis=1)
-        row = 0
-        pivots = []
-        muls = adds = invs = 0
-        for col in range(u):
-            if row == n:
-                break
-            sub = A[row:, col]
-            nz = np.nonzero(sub)[0]
-            if nz.size == 0:
-                continue
-            sel = row + int(nz[0])
-            if sel != row:
-                A[[row, sel]] = A[[sel, row]]
-            a = int(A[row, col])
-            width = u + 1 - col
-            if a != 1:
-                inv = pow(a, -1, p)
-                A[row, col:] = A[row, col:] * inv % p
-                invs += 1
-                muls += width
-            others = np.nonzero(A[:, col])[0]
-            others = others[others != row]
-            if others.size:
-                fac = A[others, col][:, None]
-                A[others, col:] = (A[others, col:]
-                                   - fac * A[row, col:][None, :]) % p
-                muls += int(others.size) * width
-                adds += int(others.size) * width
-            pivots.append((row, col))
-            row += 1
-        charge(adds=adds, muls=muls, invs=invs)
-        if row < n and np.any(A[row:, u]):
-            return None
-        x = [0] * u
-        for r, c in pivots:
-            x[c] = int(A[r, u])
-        return x
-
-    def locator_system(self, table: Table, values, nq: int, e: int):
-        V = table.int64
-        g = np.array(values, dtype=np.int64)[:, None]
-        p = self.p
-        M = np.concatenate([V[:, :nq], -g * V[:, :e] % p], axis=1)
-        return M, g[:, 0] * V[:, e] % p
 
 
 # ---------------------------------------------------------------------------

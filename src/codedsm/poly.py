@@ -180,11 +180,25 @@ def _check_points(xs: Sequence[int], f: Field) -> None:
         f.check(x)
 
 
-def _interp_naive(xs, ys, f: Field) -> list[int]:
-    # master polynomial M = prod (z - x_i), then per-point synthetic division
+def vanishing(xs: Sequence[int], field: Field,
+              mode: str = "auto") -> "DensePoly":
+    """The master polynomial prod (z - x_i) of distinct points.
+
+    ``fast`` takes the root of the point set's cached subproduct tree
+    (charged, like every tree use, what its build counted); ``naive``
+    multiplies the linear factors schoolbook-style.
+    """
+    if _resolve(mode, len(xs)) == "fast":
+        return DensePoly(field, _tree(xs, field).root)
     master = [1]
     for x in xs:
-        master = f.kernels.mul_schoolbook(master, [f.neg(x), 1])
+        master = field.kernels.mul_schoolbook(master, [field.neg(x), 1])
+    return DensePoly(field, master)
+
+
+def _interp_naive(xs, ys, f: Field) -> list[int]:
+    # master polynomial M = prod (z - x_i), then per-point synthetic division
+    master = vanishing(xs, f, "naive").coeffs
     return f.kernels.lagrange(master, xs, ys)
 
 
@@ -379,7 +393,3 @@ class EvalDomain:
 
     def __repr__(self):
         return f"EvalDomain(K={self.K}, N={self.N}, field={self.field!r})"
-
-
-def lagrange_coeffs(domain: EvalDomain) -> list[list[int]]:
-    return [list(row) for row in domain.coeffs()]

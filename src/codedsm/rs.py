@@ -3,10 +3,15 @@
 Given values of an unknown polynomial of degree <= D at distinct points,
 up to b of which are wrong and some of which may be missing, `decode`
 returns the unique consistent polynomial together with its agreement set.
-The core is the classic linear-algebra decoder: find Q and a monic error
-locator E with Q(x_i) = g_i * E(x_i) for all received points, then read
-off Q / E.  Unique recovery requires 2b <= n - D - 1 for n received
-values; parameters violating that bound are rejected up front.
+Missing values are erasures: they shrink n and cost no error budget.
+The core is Gao's decoder (S. Gao, "A new algorithm for decoding
+Reed-Solomon codes", 2003), built from the polynomial layer alone:
+interpolate all n received values, run the extended Euclidean algorithm
+on that interpolant and the master polynomial prod (z - x_i) until the
+remainder r has degree below (n + D + 1) / 2, and divide r by the
+interpolant's cofactor.  It corrects up to (n - D - 1) / 2 errors; unique
+recovery requires 2b <= n - D - 1 for n received values, and parameters
+violating that bound are rejected up front.
 
 The agreement set tau lists the received positions where the recovered
 polynomial matches the received value.  Any candidate reaching
@@ -18,8 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .field import Field, charge
-from .poly import DensePoly, interpolate
+from .field import Field
+from .poly import DensePoly, interpolate, vanishing
 
 
 class DecodeFailure(Exception):
@@ -92,25 +97,26 @@ def agreement_threshold(n: int, degree_bound: int) -> int:
     return (n + degree_bound + 2) // 2  # ceil((n + D + 1) / 2)
 
 
-def _bw_candidate(field, pts, vals, D, e):
-    """Solve the decoder system at error budget e; None on inconsistency.
+def _gao_candidate(field, pts, vals, D, mode):
+    """Gao's candidate: the quotient r / t of a partial extended Euclid.
 
-    The unknowns are Q's D+e+1 coefficients and the low e coefficients of
-    the monic locator E; row i states Q(x_i) - g_i E(x_i) = g_i x_i^e.
+    Euclid runs on the master polynomial prod (z - x_i) and the
+    interpolant of every received value, keeping the interpolant's
+    cofactor t, and stops at the first remainder r with 2 deg r < n+D+1.
+    With at most (n-D-1)/2 errors, t is the error locator up to a scalar
+    and r = t * f for the encoded f.  None if t does not divide r or the
+    quotient's degree exceeds D.
     """
-    nq = D + e + 1
-    kernels = field.kernels
-    M, rhs = kernels.locator_system(kernels.power_table(pts, nq), vals, nq, e)
-    charge(muls=len(pts) * (e + 1))
-    x = kernels.solve(M, rhs)
-    if x is None:
-        return None
-    qp = DensePoly(field, x[:nq])
-    ep = DensePoly(field, x[nq:] + [1])
-    quo, rem = qp.divmod(ep)
-    if not rem.is_zero():
-        return None
-    if quo.degree > D:
+    n = len(pts)
+    r0 = vanishing(pts, field, mode)
+    r1 = interpolate(zip(pts, vals), field, mode)
+    t0, t1 = DensePoly.zero(field), DensePoly.const(field, 1)
+    while 2 * r1.degree >= n + D + 1:
+        q, r = r0.divmod(r1)
+        r0, r1 = r1, r
+        t0, t1 = t1, t0 - q.mul(t1, mode)
+    quo, rem = r1.divmod(t1)
+    if not rem.is_zero() or quo.degree > D:
         return None
     return quo
 
@@ -120,8 +126,13 @@ def decode(cw: NoisyCodeword, mode: str = "auto") -> DecodeResult:
 
     Raises ValueError when the (n, D, b) parameters cannot guarantee unique
     decoding, and DecodeFailure when no degree-bounded polynomial agrees
-    with at least n - b of the received values. ``mode`` picks the
-    polynomial arithmetic route for the interpolation step.
+    with at least n - b of the received values.  ``mode`` picks the
+    polynomial arithmetic route (interpolation, the master polynomial and
+    the Euclid products).
+
+    The optimistic path interpolates the first D+1 values and keeps the
+    result if it agrees with n - b of them.  Otherwise, when b > 0, one
+    Gao candidate is built and checked the same way.
     """
     idx = cw.present()
     n = len(idx)
@@ -142,12 +153,11 @@ def decode(cw: NoisyCodeword, mode: str = "auto") -> DecodeResult:
     if len(tau) >= need:
         return DecodeResult(guess, tau)
 
-    for e in range(b, 0, -1):
-        cand = _bw_candidate(field, pts, vals, D, e)
-        if cand is None:
-            continue
-        tau = agreement_set(cand, cw)
-        if len(tau) >= need:
-            return DecodeResult(cand, tau)
+    if b > 0:
+        cand = _gao_candidate(field, pts, vals, D, mode)
+        if cand is not None:
+            tau = agreement_set(cand, cw)
+            if len(tau) >= need:
+                return DecodeResult(cand, tau)
     raise DecodeFailure(
         f"no degree-{D} polynomial matches {need} of {n} received values")

@@ -5,6 +5,13 @@ into ``simnet.tamper`` and ``AdversaryModel.send``; any rework of the
 attack code must reproduce them exactly. Each small run pins its event-log
 SHA-256, its throughput lambda, its per-phase (adds, muls, invs) and its
 violation count, and each sweep pins its whole report.
+
+The lambda and psi counts of the runs whose decoder leaves the optimistic
+path (csm ``corrupt``, ``corrupt_random`` and ``equivocate`` under sync and
+psync, both ``p2p-equivocate`` runs and ``boolcounter-binary-corrupt``)
+were re-recorded when the Reed-Solomon decoder changed from
+Berlekamp-Welch linear solves to Gao's decoder.  Every event-log digest,
+violation count, sweep report and other run is unchanged.
 """
 
 import hashlib
@@ -52,28 +59,28 @@ RUNS["boolcounter-binary-corrupt"] = dict(
 GOLDEN_RUNS = {
     'boolcounter-binary-corrupt': (
         'f6130e885df78c87bf0ca0da7bfe08d5d9f1b44a2f50852b9ec6ab5cfd2d2b40',
-        6.870160830465042e-05, 0,
-        {'chi': (3600, 3600, 0), 'psi': (12860130, 13302480, 22950),
+        0.00023395734957517244, 0,
+        {'chi': (3600, 3600, 0), 'psi': (3811080, 3842280, 25650),
          'rho': (2550, 4950, 0), 'setup': (720, 720, 0)}),
     'csm-corrupt-psync': (
         '5b9c08d7a47706e009c3d2ded5e9fd3c58961f59ef851855c6bed9e072a9a62f',
-        0.00019605326945561354, 0,
-        {'chi': (1500, 1650, 0), 'psi': (4119300, 4274520, 13860),
+        0.00038228956697018143, 0,
+        {'chi': (1500, 1650, 0), 'psi': (2139300, 2152800, 15600),
          'rho': (1800, 3450, 0), 'setup': (300, 330, 0)}),
     'csm-corrupt-sync': (
         'e091f425b27f3f588d082d1ac8d666e4a08a995a829507ee971a0c8eee348b1e',
-        0.0001700824900076537, 0,
-        {'chi': (1650, 1800, 0), 'psi': (5191800, 5367300, 15000),
+        0.00034350489494475297, 0,
+        {'chi': (1650, 1800, 0), 'psi': (2599500, 2614500, 17100),
          'rho': (1950, 3600, 0), 'setup': (330, 360, 0)}),
     'csm-corrupt_random-psync': (
         '523ab24dd851348a43c49a9793b86ae6be1aac78faae413632df804ad1d2ab67',
-        0.00019605326945561354, 0,
-        {'chi': (1500, 1650, 0), 'psi': (4119300, 4274520, 13860),
+        0.00038228956697018143, 0,
+        {'chi': (1500, 1650, 0), 'psi': (2139300, 2152800, 15600),
          'rho': (1800, 3450, 0), 'setup': (300, 330, 0)}),
     'csm-corrupt_random-sync': (
         '72404a04494d164ada06acbf9905b95e51349e242b2bf5ace854de41467e6a8c',
-        0.0001700824900076537, 0,
-        {'chi': (1650, 1800, 0), 'psi': (5191800, 5367300, 15000),
+        0.00034350489494475297, 0,
+        {'chi': (1650, 1800, 0), 'psi': (2599500, 2614500, 17100),
          'rho': (1950, 3600, 0), 'setup': (330, 360, 0)}),
     'csm-delay-psync': (
         '05684eb88e6c3f33a1f30e7940bf9eab81b20cd8f43bbc7349eaca3270143d39',
@@ -97,13 +104,13 @@ GOLDEN_RUNS = {
          'rho': (1950, 3600, 0), 'setup': (330, 360, 0)}),
     'csm-equivocate-psync': (
         '0d416432ae17fdac910adcf1dc67f91d4d282801df62c1d169b3a0e2b92204e9',
-        0.00019605326945561354, 0,
-        {'chi': (1500, 1650, 0), 'psi': (4119300, 4274520, 13860),
+        0.00038228956697018143, 0,
+        {'chi': (1500, 1650, 0), 'psi': (2139300, 2152800, 15600),
          'rho': (1800, 3450, 0), 'setup': (300, 330, 0)}),
     'csm-equivocate-sync': (
         '2aa703a98c4733f5fb4c83f2bccd8bbd1b38d1f83d509d1e1f2c44eee4c79b4e',
-        0.0001700824900076537, 0,
-        {'chi': (1650, 1800, 0), 'psi': (5191800, 5367300, 15000),
+        0.00034350489494475297, 0,
+        {'chi': (1650, 1800, 0), 'psi': (2599500, 2614500, 17100),
          'rho': (1950, 3600, 0), 'setup': (330, 360, 0)}),
     'csm-false_audit-psync': (
         '471c4270ff6cfff5907c57bb48be15b432c6a493f2536f696efc053063c52571',
@@ -216,13 +223,13 @@ GOLDEN_RUNS = {
         {'rho': (1860, 5580, 0)}),
     'p2p-equivocate-psync': (
         '90aed0c791f8aea889c5ca02fbfd066a8f4b98df6cfe7ab3a4f8679117a1b710',
-        0.00021783535554954712, 0,
-        {'chi': (1500, 1650, 0), 'psi': (3707370, 3846312, 12446),
+        0.00042467435198554563, 0,
+        {'chi': (1500, 1650, 0), 'psi': (1925370, 1937520, 14040),
          'rho': (1800, 3450, 0), 'setup': (300, 330, 0)}),
     'p2p-equivocate-sync': (
         '1e8fdc790a385953ee6126b559432199d44a6d208322a7d119661c981851cf0b',
-        0.00018896268931699436, 0,
-        {'chi': (1650, 1800, 0), 'psi': (4672620, 4830570, 13500),
+        0.0003815992825933487, 0,
+        {'chi': (1650, 1800, 0), 'psi': (2339550, 2353050, 15390),
          'rho': (1950, 3600, 0), 'setup': (330, 360, 0)}),
     'partial-corrupt-psync': (
         '86a365ef03676974566292ce0c012133588762619ec7107d28650f7568e73833',

@@ -20,8 +20,8 @@ from codedsm.poly import (
     SubproductTree,
     _tree,
     interpolate,
-    lagrange_coeffs,
     multipoint_eval,
+    vanishing,
 )
 
 F11 = PrimeField(11)
@@ -54,14 +54,14 @@ def test_multipoint_quadratic():
 
 def test_lagrange_coeff_rows():
     dom = EvalDomain(F11, omegas=(1, 2), alphas=(3, 4, 5, 6, 7))
-    C = lagrange_coeffs(dom)
-    assert C == [[10, 2], [9, 3], [8, 4], [7, 5], [6, 6]]
+    C = dom.coeffs()
+    assert C == ((10, 2), (9, 3), (8, 4), (7, 5), (6, 6))
 
 
 def test_coeff_row_reproduces_evaluation():
     # row for alpha=4 applied to values (4, 7) gives u(4) where u = 3z+1
     dom = EvalDomain(F11, omegas=(1, 2), alphas=(3, 4, 5, 6, 7))
-    row = lagrange_coeffs(dom)[1]
+    row = dom.coeffs()[1]
     val = F11.add(F11.mul(row[0], 4), F11.mul(row[1], 7))
     assert val == 2
     assert val == DensePoly(F11, [1, 3])(4)
@@ -71,7 +71,7 @@ def test_coeff_matrix_equals_interpolate_then_evaluate():
     rng = random.Random(11)
     for K, N in ((2, 5), (3, 7), (5, 9)):
         dom = EvalDomain.default(F97, K, N)
-        C = lagrange_coeffs(dom)
+        C = dom.coeffs()
         vals = [F97.rand(rng) for _ in range(K)]
         u = interpolate(list(zip(dom.omegas, vals)), F97)
         direct = multipoint_eval(u, dom.alphas)
@@ -203,6 +203,7 @@ def test_subproduct_tree_root():
     for x in xs:
         expect = expect * DensePoly(F11, [F11.neg(x), 1])
     assert list(tree.root) == list(expect.coeffs)
+    assert vanishing(xs, F11, "naive") == vanishing(xs, F11, "fast") == expect
 
 
 # ---------------------------------------------------------------------------

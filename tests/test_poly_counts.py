@@ -4,6 +4,11 @@ The counts below were recorded from the per-operation implementation, in
 which every field addition, multiplication and inversion was charged as
 it ran.  Any faster implementation must charge exactly the same numbers,
 cold or warm, because they feed the reproduced throughput figure lambda.
+
+One run's values were re-recorded when the Reed-Solomon decoder changed
+from Berlekamp-Welch linear solves to Gao's decoder: ``csm-corrupt-fast``'s
+psi counts and its ``net`` role total, because its decoder leaves the
+optimistic path.  Its event-log digest and every other value are unchanged.
 """
 
 import hashlib
@@ -184,10 +189,10 @@ GOLDEN_RUNS = {
     'csm-corrupt-fast': (
         'caa8d189777a635de8ab92caabc13d7307704842fd086951a961a17f645b7cdb',
         {'chi': (990, 1080, 0),
-         'psi': (3602880, 3457980, 9000),
+         'psi': (2412720, 1820340, 10260),
          'rho': (1170, 2160, 0),
          'setup': (330, 360, 0)},
-        {'net': (3605370, 3461580, 9000)}),
+        {'net': (2415210, 1823940, 10260)}),
     'delegated-dishonest-worker': (
         'f3b816af70e9262a2a309f9f39af43f999b9ac8fe4b979fa1d4c8ab0127cdfe2',
         {'chi': (3292, 3272, 96),

@@ -17,6 +17,9 @@ from codedsm.rs import (
 
 F11 = PrimeField(11)
 F97 = PrimeField(97)
+GF16 = BinaryField(4)
+FBIG = PrimeField((1 << 31) - 1)
+MODES = ("naive", "fast")
 
 
 def make_codeword(field, coeffs, points, budget, corrupt=(), missing=()):
@@ -97,7 +100,9 @@ def brute_force_decode(cw):
     return found
 
 
-def test_decode_matches_brute_force():
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("field", [F11, GF16], ids=["F11", "GF16"])
+def test_decode_matches_brute_force(field, mode):
     rng = random.Random(31337)
     checked_failures = 0
     for trial in range(120):
@@ -105,15 +110,15 @@ def test_decode_matches_brute_force():
         D = rng.randint(0, min(2, n - 1))
         bmax = (n - D - 1) // 2
         b = rng.randint(0, bmax)
-        pts = tuple(rng.sample(range(11), n))
-        coeffs = [F11.rand(rng) for _ in range(D + 1)]
+        pts = tuple(rng.sample(range(field.order), n))
+        coeffs = [field.rand(rng) for _ in range(D + 1)]
         nerr = rng.randint(0, b)
         bad = rng.sample(range(n), nerr)
-        corrupt = [(i, F11.rand(rng)) for i in bad]
-        cw = make_codeword(F11, coeffs, pts, b, corrupt=corrupt)
+        corrupt = [(i, field.rand(rng)) for i in bad]
+        cw = make_codeword(field, coeffs, pts, b, corrupt=corrupt)
         survivors = brute_force_decode(cw)
         try:
-            res = decode(cw)
+            res = decode(cw, mode)
         except DecodeFailure:
             assert survivors == []
             checked_failures += 1
@@ -122,7 +127,8 @@ def test_decode_matches_brute_force():
     assert checked_failures == 0  # <= b corruptions always decode
 
 
-def test_decode_matches_brute_force_on_overload():
+@pytest.mark.parametrize("mode", MODES)
+def test_decode_matches_brute_force_on_overload(mode):
     # corrupting b+1 values may kill decoding; brute force must agree
     rng = random.Random(999)
     outcomes = {"fail": 0, "ok": 0}
@@ -137,7 +143,7 @@ def test_decode_matches_brute_force_on_overload():
         cw = make_codeword(F11, coeffs, pts, b, corrupt=corrupt)
         survivors = brute_force_decode(cw)
         try:
-            res = decode(cw)
+            res = decode(cw, mode)
             outcomes["ok"] += 1
             assert survivors == [res.poly]
         except DecodeFailure:
@@ -150,7 +156,8 @@ def test_decode_matches_brute_force_on_overload():
 # uniqueness at scale
 # ---------------------------------------------------------------------------
 
-def test_unique_decoding_many_trials():
+@pytest.mark.parametrize("mode", MODES)
+def test_unique_decoding_many_trials(mode):
     rng = random.Random(20240903)
     for trial in range(10_000):
         n = rng.randint(3, 12)
@@ -169,9 +176,28 @@ def test_unique_decoding_many_trials():
             delta = rng.randrange(1, 97)
             corrupt.append((i, (true + delta) % 97))
         cw = make_codeword(F97, coeffs, pts, b, corrupt=corrupt)
-        res = decode(cw)
+        res = decode(cw, mode)
         assert res.poly == DensePoly(F97, coeffs)
         assert len(res.agreement) == n - nerr
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_large_codeword_at_full_error_budget(mode):
+    # exactly b = (n-D-1)/2 wrong values, the most the decoder must correct
+    rng = random.Random(4242)
+    n = rng.randint(32, 128)
+    D = rng.randint(1, n // 2)
+    b = (n - D - 1) // 2
+    pts = tuple(rng.sample(range(1, 1 << 20), n))
+    coeffs = [FBIG.rand(rng) for _ in range(D)] + [rng.randrange(1, FBIG.p)]
+    true = multipoint_eval(DensePoly(FBIG, coeffs), list(pts))
+    bad = rng.sample(range(n), b)
+    corrupt = [(i, (true[i] + rng.randrange(1, FBIG.p)) % FBIG.p)
+               for i in bad]
+    cw = make_codeword(FBIG, coeffs, pts, b, corrupt=corrupt)
+    res = decode(cw, mode)
+    assert list(res.poly.coeffs) == coeffs
+    assert res.agreement == frozenset(range(n)) - set(bad)
 
 
 def test_agreement_certificate_is_sound():
