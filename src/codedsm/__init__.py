@@ -35,8 +35,6 @@ from .csm import (  # noqa: F401
 )
 from .baseline import (  # noqa: F401
     ReplicationConfig,
-    run_full_round,
-    run_partial_round,
     run_replicated_round,
 )
 from .intermix import (  # noqa: F401
@@ -61,7 +59,6 @@ from .simnet import (  # noqa: F401
     ExperimentResult,
     Timing,
     run_experiment,
-    set_channel_mode,
 )
 from .harness import (  # noqa: F401
     MetricsRecord,

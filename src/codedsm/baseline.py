@@ -144,16 +144,3 @@ def run_replicated_round(states, commands, cfg: ReplicationConfig,
     next_states = tuple(tuple(t[:sd]) for t in truth)
     return BaselineRound(next_states, outputs, tuple(reports), failures)
 
-
-def run_full_round(states, commands, cfg: ReplicationConfig,
-                   tamper=None) -> BaselineRound:
-    if cfg.mode != "full":
-        raise ConfigurationError("config is not full replication")
-    return run_replicated_round(states, commands, cfg, tamper)
-
-
-def run_partial_round(states, commands, cfg: ReplicationConfig,
-                      tamper=None) -> BaselineRound:
-    if cfg.mode != "partial":
-        raise ConfigurationError("config is not partial replication")
-    return run_replicated_round(states, commands, cfg, tamper)

@@ -16,14 +16,14 @@ and the polynomial layer's coefficient-list arithmetic) lives here too,
 in each field's ``kernels``.  The field picks them once, at construction:
 
 - `LoopKernels` for GF(2^m): every kernel is a loop over the field's
-  counted operations.  It is also the reference the others must match.
-- `PrimeKernels` for a prime p with p^2 >= 2^63: the polynomial kernels
-  run on raw ints and charge the loops' counts in bulk.
-- `Int64Kernels` for any other prime: `PrimeKernels` plus int64 numpy
-  matrix-vector products and naive interpolation.
+  counted operations.  It is also the reference the other must match.
+- `PrimeKernels` for every prime: the polynomial kernels run on raw ints,
+  and matrix-vector products and naive interpolation on numpy arrays
+  (int64 when p^2 < 2^63, Python ints otherwise).
 
-The kernels also keep the bounded caches of public per-point-set work
-(`Memo`).
+Both backends charge the same count for the same kernel call: what the
+loops count for those operands.  The kernels also keep the bounded caches
+of public per-point-set work (`Memo`).
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from __future__ import annotations
 import random
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -186,13 +186,16 @@ class Memo:
 class Table(tuple):
     """A public matrix of field elements: a tuple of row tuples of ints.
 
-    Tables are built once and reused, so the int64 form the int64 kernels
-    need is computed on first use and kept with the table.
+    Tables are built once and reused, so the numpy form a kernel needs is
+    computed on first use and kept with the table, one per dtype.
     """
 
-    @cached_property
-    def int64(self) -> np.ndarray:
-        return np.array(self, dtype=np.int64)
+    def array(self, dtype) -> np.ndarray:
+        arrays = self.__dict__.setdefault("_arrays", {})
+        a = arrays.get(dtype)
+        if a is None:
+            a = arrays[dtype] = np.array(self, dtype=dtype)
+        return a
 
 
 class LoopKernels:
@@ -344,15 +347,20 @@ class LoopKernels:
     # -- matrix-vector product ---------------------------------------------
 
     def matvec(self, matrix, vector) -> tuple[int, ...]:
-        """Counted exact matrix-vector product."""
+        """Counted exact matrix-vector product.
+
+        A row of k entries sums its k products from the first one: k muls
+        and k - 1 adds.
+        """
         f = self.field
         out = []
         for row in matrix:
             if len(row) != len(vector):
                 raise ValueError("dimension mismatch")
             acc = 0
-            for a, x in zip(row, vector):
-                acc = f.add(acc, f.mul(a, x))
+            for j, (a, x) in enumerate(zip(row, vector)):
+                m = f.mul(a, x)
+                acc = f.add(acc, m) if j else m
             out.append(acc)
         return tuple(out)
 
@@ -380,17 +388,20 @@ def _kar_ops(la: int, lb: int) -> tuple[int, int]:
 
 
 class PrimeKernels(LoopKernels):
-    """The polynomial kernels on raw ints mod p, charged in bulk.
+    """The kernels on raw ints and numpy arrays mod p, charged in bulk.
 
     Each kernel charges exactly what its `LoopKernels` version counts for
     the same operands: the counts follow from the operands' lengths (and,
-    in long division, from which quotient terms vanish).  Exact for any
-    prime; the matrix-vector product stays on the loops.
+    in long division, from which quotient terms vanish).  The numpy
+    kernels, `matvec` and `lagrange`, use ``dtype``: int64 when p^2 < 2^63,
+    so every product of two reduced values fits, and Python-int ``object``
+    otherwise.  Exact for any prime.
     """
 
     def __init__(self, field: "PrimeField"):
         super().__init__(field)
         self.p = field.p
+        self.dtype = np.int64 if self.p * self.p < 1 << 63 else object
 
     def polymul(self, a, b) -> list[int]:
         """The product of two coefficient lists, uncounted.
@@ -470,67 +481,42 @@ class PrimeKernels(LoopKernels):
         charge(adds=5, muls=3)
         return (a[0] - a[1] * b[0]) % self.p
 
-    def lagrange(self, master, xs, ys) -> list[int]:
-        p = self.p
-        out = [0] * len(xs)
-        for x, y in zip(xs, ys):
-            q = [0] * (len(master) - 1)
-            acc = 0
-            for j in range(len(master) - 1, 0, -1):
-                acc = (master[j] + acc * x) % p
-                q[j - 1] = acc
-            w = y * pow(self.horner(q, x), -1, p) % p
-            out = [(o + w * c) % p for o, c in zip(out, q)]
-        # per point: the division, the inverse, the scaling and the sum
-        # (`horner` charged the check)
-        n = len(xs)
-        charge(adds=2 * n * n, muls=n * (2 * n + 1), invs=n)
-        return out
-
-
-class Int64Kernels(PrimeKernels):
-    """`PrimeKernels` plus matvec and naive interpolation as int64 numpy code.
-
-    Charged in bulk, like the polynomial kernels.  Exact for a prime p
-    with p^2 < 2^63: every product of two reduced values fits, and
-    products are reduced before they are summed.
-    """
-
     def matvec(self, matrix, vector) -> tuple[int, ...]:
         if not len(matrix):
             return ()
-        M = matrix.int64 if isinstance(matrix, Table) \
-            else np.array(matrix, dtype=np.int64)
-        v = np.array(vector, dtype=np.int64)
-        if M.shape[1] != v.shape[0]:
+        dt = self.dtype
+        M = matrix.array(dt) if isinstance(matrix, Table) \
+            else np.array(matrix, dtype=dt)
+        v = np.array(vector, dtype=dt)
+        if M.ndim != 2 or M.shape[1] != len(v):
             raise ValueError("dimension mismatch")
         p = self.p
         n, k = M.shape
-        # a row sums k reduced products, below k * p < 2^63 for any k that
-        # fits in memory
+        # in int64 a row sums k reduced products, below k * p < 2^63 for
+        # any k that fits in memory
         out = (M * v[None, :] % p).sum(axis=1) % p
         charge(adds=n * max(0, k - 1), muls=n * k)
         return tuple(int(x) for x in out)
 
     def lagrange(self, master, xs, ys) -> list[int]:
-        # `PrimeKernels.lagrange` run for every point at once: row i of q is
+        # `LoopKernels.lagrange` run for every point at once: row i of q is
         # master / (z - x_i), and h_i = q_i(x_i) the Horner check
         n = len(xs)
         if not n:
             return []
-        p = self.p
-        x = np.array(xs, dtype=np.int64)
-        q = np.zeros((n, n), dtype=np.int64)
-        acc = np.zeros(n, dtype=np.int64)
+        p, dt = self.p, self.dtype
+        x = np.array(xs, dtype=dt)
+        q = np.zeros((n, n), dtype=dt)
+        acc = np.zeros(n, dtype=dt)
         for j in range(n, 0, -1):
             acc = (master[j] + acc * x) % p
             q[:, j - 1] = acc
-        h = np.zeros(n, dtype=np.int64)
+        h = np.zeros(n, dtype=dt)
         for j in range(n - 1, -1, -1):
             h = (h * x + q[:, j]) % p
         w = np.array([y * pow(int(d), -1, p) % p for y, d in zip(ys, h)],
-                     dtype=np.int64)
-        # a column sums n reduced products, below n * p < 2^63
+                     dtype=dt)
+        # in int64 a column sums n reduced products, below n * p < 2^63
         out = (w[:, None] * q % p).sum(axis=0) % p
         charge(adds=3 * n * n, muls=n * (3 * n + 1), invs=n)
         return [int(c) for c in out]
@@ -567,7 +553,6 @@ def _is_prime(n: int) -> bool:
 class Field:
     """Abstract finite field.  Elements are canonical Python ints."""
 
-    kind: str
     order: int
     char: int
     kernels: LoopKernels
@@ -629,16 +614,13 @@ class Field:
 class PrimeField(Field):
     """F_p for prime p."""
 
-    kind = "prime"
-
     def __init__(self, p: int):
         if not _is_prime(p):
             raise ConfigurationError(f"modulus {p} is not prime")
         self.p = p
         self.order = p
         self.char = p
-        self.kernels = Int64Kernels(self) if p * p < 1 << 63 \
-            else PrimeKernels(self)
+        self.kernels = PrimeKernels(self)
 
     def add(self, a, b):
         c = _ACTIVE
@@ -728,17 +710,13 @@ class BinaryField(Field):
     counts as a single field multiplication.
     """
 
-    kind = "binary"
-
-    def __init__(self, m: int, reduction: int | None = None):
+    def __init__(self, m: int):
         if m not in REDUCTION_POLYS:
             raise ConfigurationError(f"unsupported extension degree m={m}")
         self.m = m
         self.order = 1 << m
         self.char = 2
-        self.reduction = REDUCTION_POLYS[m] if reduction is None else reduction
-        if self.reduction.bit_length() != m + 1:
-            raise ConfigurationError("reduction polynomial degree must equal m")
+        self.reduction = REDUCTION_POLYS[m]
         # log/antilog tables are built lazily on first multiplication
         self._exp: list[int] | None = None
         self._log: list[int] | None = None
@@ -853,7 +831,7 @@ class BinaryField(Field):
         return b
 
     def _key(self):
-        return ("binary", self.m, self.reduction)
+        return ("binary", self.m)
 
     def __repr__(self):
         return f"BinaryField(m={self.m})"

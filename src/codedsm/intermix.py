@@ -451,7 +451,6 @@ def _false_alert_transcript(fld, matrix, vector, worker, auditor):
 def run_session(fld: Field, matrix, vector, worker: Worker,
                 committee: AuditCommittee, auditor_strategy=None,
                 board: CounterBoard | None = None,
-                channel: str = "broadcast",
                 expected_fn=None, phase: str = "audit") -> SessionResult:
     """Broadcast a claim, audit it, and settle the verdict.
 
@@ -463,9 +462,6 @@ def run_session(fld: Field, matrix, vector, worker: Worker,
     shared result.  ``phase`` names the protocol stage the verification
     work is accounted under.
     """
-    if channel != "broadcast":
-        raise ConfigurationError(
-            "interactive verification requires the broadcast channel")
     board = board if board is not None else CounterBoard()
     if worker.board is None:
         worker.board = board
@@ -508,13 +504,12 @@ def run_session(fld: Field, matrix, vector, worker: Worker,
                          tuple(dismissed))
 
 
-def intermix_cost(j_auditors: int, k_cols: int, n_nodes: int,
-                  audits_conducted: int | None = None) -> int:
+def intermix_cost(j_auditors: int, k_cols: int, n_nodes: int) -> int:
     """Worst-case field-operation budget for one verified product."""
-    a = j_auditors if audits_conducted is None else audits_conducted
+    j = j_auditors
     c = 2 * n_nodes * k_cols
     lg = math.ceil(math.log2(k_cols)) if k_cols > 1 else 0
-    return (a + 1) * c + 8 * a * k_cols + 3 * a * lg + n_nodes - j_auditors - 1
+    return (j + 1) * c + 8 * j * k_cols + 3 * j * lg + n_nodes - j - 1
 
 
 # ---------------------------------------------------------------------------
@@ -535,7 +530,6 @@ class Delegation:
     beacon: random.Random | int = 0
     board: CounterBoard | None = None
     mode: str = "auto"
-    channel: str = "broadcast"
     worker_strategy_for: object = None   # node -> WorkerStrategy | None
     auditor_strategy_for: object = None  # node -> str | None
 
@@ -544,9 +538,6 @@ class Delegation:
             self.beacon = random.Random(self.beacon)
         if self.board is None:
             self.board = CounterBoard()
-        if self.channel != "broadcast":
-            raise ConfigurationError(
-                "delegated coding requires the broadcast channel")
 
     def strategy(self, node: int) -> WorkerStrategy:
         if self.worker_strategy_for is None:
@@ -635,7 +626,7 @@ def delegated_encode(vectors, dele: Delegation,
                             board=dele.board, name=f"node{w}", phase=phase)
             res = run_session(cfg.field, rows, col, worker, committee,
                               auditor_strategy=dele.auditor_policy,
-                              board=dele.board, channel=dele.channel,
+                              board=dele.board,
                               expected_fn=lambda c=col: eval_route(c),
                               phase=phase)
             comparisons += res.comparisons
@@ -715,7 +706,6 @@ def verify_decode_claim(g_values, claim: DecodeClaim, cfg: CodingConfig,
             res = run_session(
                 cfg_f, rows, b, worker, committee_members,
                 auditor_strategy=dele.auditor_policy, board=dele.board,
-                channel=dele.channel,
                 expected_fn=lambda p=poly, pts=points: eval_route(p, pts),
                 phase=phase)
             comparisons += res.comparisons

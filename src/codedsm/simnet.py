@@ -12,7 +12,6 @@ may equivocate).
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import random
@@ -45,6 +44,7 @@ from .field import (
     uncounted,
 )
 from .intermix import (
+    REPLY_POLICIES,
     Delegation,
     WorkerStrategy,
     delegated_decode,
@@ -161,7 +161,7 @@ class AdversaryModel:
         if self.strategy != "dishonest_worker" or node not in self.faulty:
             return None
         rng = self.stream("worker", node)
-        reply = rng.choice(("truthful", "consistent", "random", "silent"))
+        reply = rng.choice(REPLY_POLICIES)
         delta = rng.randrange(1, fld.order)
         return WorkerStrategy(deltas={0: (delta, rng.randrange(64))},
                               reply=reply, seed=rng.randrange(2 ** 31))
@@ -408,13 +408,6 @@ class ExperimentConfig:
         except (OSError, ValueError) as exc:
             raise ConfigurationError(f"cannot read {path}: {exc}") from None
         return ExperimentConfig.parse(text)
-
-
-def set_channel_mode(config: ExperimentConfig,
-                     mode: str) -> ExperimentConfig:
-    """Fix the channel before round zero; validation happens in the
-    config constructor (delegated verification refuses point-to-point)."""
-    return dataclasses.replace(config, channel=mode)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,7 +12,6 @@ from codedsm.field import (
     BinaryField,
     ConfigurationError,
     CounterBoard,
-    Int64Kernels,
     LoopKernels,
     OpCounter,
     PrimeField,
@@ -283,38 +283,51 @@ def test_parse_field():
 # ---------------------------------------------------------------------------
 
 def test_kernel_backend_follows_the_int64_bound():
-    # 3037000493 is the largest prime with p^2 < 2^63
-    assert isinstance(PrimeField(3037000493).kernels, Int64Kernels)
-    assert type(PrimeField(4294967311).kernels) is PrimeKernels
-    assert type(PrimeField((1 << 61) - 1).kernels) is PrimeKernels
+    # one prime backend; 3037000493 is the largest prime with p^2 < 2^63
+    for p in (2, 97, (1 << 31) - 1, 3037000493, 4294967311, (1 << 61) - 1):
+        assert type(PrimeField(p).kernels) is PrimeKernels
+    assert PrimeField(3037000493).kernels.dtype is np.int64
+    assert PrimeField(4294967311).kernels.dtype is object
+    assert PrimeField((1 << 61) - 1).kernels.dtype is object
     assert type(GF256.kernels) is LoopKernels
 
 
 F97 = PrimeField(97)
 ELEM97 = st.integers(0, 96)
+# int64 numpy, then Python-int numpy, on either side of p^2 = 2^63
+BULK_PRIMES = [97, (1 << 31) - 1, 4294967311, (1 << 61) - 1]
+
+
+def _values_and_counts(fn):
+    c = OpCounter()
+    with counting(c):
+        out = fn()
+    return out, c
 
 
 @settings(max_examples=80, deadline=None)
-@given(data=st.data(), n=st.integers(1, 7), k=st.integers(1, 7))
-def test_int64_kernels_match_loop_kernels(data, n, k):
-    assert isinstance(F97.kernels, Int64Kernels)
-    loop = LoopKernels(F97)
-    row = st.lists(ELEM97, min_size=k, max_size=k)
+@given(data=st.data(), n=st.integers(1, 7), k=st.integers(1, 7),
+       p=st.sampled_from(BULK_PRIMES))
+def test_int64_kernels_match_loop_kernels(data, n, k, p):
+    fld = PrimeField(p)
+    loop = LoopKernels(fld)
+    elem = st.integers(0, p - 1)
+    row = st.lists(elem, min_size=k, max_size=k)
     M = data.draw(st.lists(row, min_size=n, max_size=n))
     v = data.draw(row)
-    assert F97.kernels.matvec(M, v) == loop.matvec(M, v)
-    assert F97.kernels.matvec(Table(map(tuple, M)), v) == loop.matvec(M, v)
-    pts = data.draw(st.lists(ELEM97, min_size=1, max_size=n, unique=True))
-    assert F97.kernels.power_table(pts, k) == loop.power_table(pts, k)
+    want = _values_and_counts(lambda: loop.matvec(M, v))
+    assert _values_and_counts(lambda: fld.kernels.matvec(M, v)) == want
+    T = Table(map(tuple, M))
+    assert _values_and_counts(lambda: fld.kernels.matvec(T, v)) == want
+    pts = data.draw(st.lists(elem, min_size=1, max_size=n, unique=True))
+    assert fld.kernels.power_table(pts, k) == loop.power_table(pts, k)
 
 
 @settings(max_examples=80, deadline=None)
-@given(data=st.data(), n=st.integers(1, 40),
-       p=st.sampled_from([97, (1 << 31) - 1]))
+@given(data=st.data(), n=st.integers(1, 40), p=st.sampled_from(BULK_PRIMES))
 def test_int64_lagrange_matches_loop_kernels(data, n, p):
     # values and counts: the vectorised kernel charges the loops' counts
     fld = PrimeField(p)
-    assert isinstance(fld.kernels, Int64Kernels)
     loop = LoopKernels(fld)
     elem = st.integers(0, p - 1)
     xs = data.draw(st.lists(elem, min_size=min(n, p), max_size=min(n, p),
@@ -323,13 +336,26 @@ def test_int64_lagrange_matches_loop_kernels(data, n, p):
     master = [1]
     for x in xs:
         master = loop.mul_schoolbook(master, [fld.neg(x), 1])
-    want, got = OpCounter(), OpCounter()
-    with counting(want):
-        expected = loop.lagrange(master, xs, ys)
-    with counting(got):
-        assert fld.kernels.lagrange(master, xs, ys) == expected
-    assert got == want
+    expected, want = _values_and_counts(
+        lambda: loop.lagrange(master, xs, ys))
+    assert _values_and_counts(
+        lambda: fld.kernels.lagrange(master, xs, ys)) == (expected, want)
     assert [loop.horner(expected, x) for x in xs] == ys
+
+
+def test_table_arrays_are_kept_per_dtype():
+    # one table through an int64 kernel and a Python-int kernel: each
+    # reads its own array, and a big prime's products never wrap
+    big = PrimeField((1 << 61) - 1)
+    t = F97.kernels.power_table((3, 5, 96), 3)
+    v = (96, 95, 94)
+    for fld in (F97, big, F97):
+        assert fld.kernels.matvec(t, v) == LoopKernels(fld).matvec(t, v)
+    assert t.array(np.int64).dtype == np.int64
+    assert t.array(object).dtype == object
+    assert t.array(np.int64) is t.array(np.int64)
+    assert big.kernels.matvec(t, (big.p - 1,) * 3) \
+        == tuple((-sum(row)) % big.p for row in t)
 
 
 def test_power_table_is_cached_and_uncounted():

@@ -312,17 +312,6 @@ def test_transcript_survives_json_replay():
         assert (v1.accepted, v1.reason) == (v2.accepted, v2.reason)
 
 
-def test_session_needs_broadcast_channel():
-    a, x = [[1]], (1,)
-    c = elect_committee(3, 0, 0.5, random.Random(0), worker=0)
-    with pytest.raises(ConfigurationError):
-        run_session(F11, a, x, Worker(F11, a, x), c, channel="p2p")
-    m = bank_machine(F11)
-    cfg = CodingConfig.make(m, 2, 5, "sync", 0)
-    with pytest.raises(ConfigurationError):
-        Delegation(cfg, channel="p2p")
-
-
 def test_measured_session_cost_within_budget():
     rng = random.Random(13)
     for n, k in ((16, 8), (16, 32), (64, 8)):

@@ -286,6 +286,8 @@ def test_bulk_prime_path_charges_the_per_op_counts(n, m, seed, p):
             # a longer second operand: the difference's tail is -b
             lambda F: (DensePoly(F, cs) + DensePoly(F, ds + cs)).coeffs,
             lambda F: (DensePoly(F, cs) - DensePoly(F, ds + cs)).coeffs,
+            # a Vandermonde product, as encoding and auditing make
+            lambda F: F.kernels.matvec(F.kernels.power_table(xs, m), cs),
         )
         for fn in cases:
             for _ in range(2):  # cold, then warm

@@ -19,7 +19,6 @@ from codedsm.simnet import (
     Timing,
     consensus_oracle,
     run_experiment,
-    set_channel_mode,
 )
 
 F = parse_field("prime:2147483647")
@@ -254,10 +253,11 @@ def test_delegation_refuses_p2p_channel():
                          fault_fraction=Fraction(1, 8), delegate=True,
                          channel="p2p")
     cfg = _cfg(degree=1)
-    assert set_channel_mode(cfg, "p2p").channel == "p2p"
+    assert dataclasses.replace(cfg, channel="p2p").channel == "p2p"
     with pytest.raises(ConfigurationError):
-        set_channel_mode(_cfg(degree=1, delegate=True,
-                              fault_fraction=Fraction(1, 10)), "p2p")
+        dataclasses.replace(_cfg(degree=1, delegate=True,
+                                 fault_fraction=Fraction(1, 10)),
+                            channel="p2p")
 
 
 # ---------------------------------------------------------------------------
