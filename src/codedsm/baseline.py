@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .csm import DeliveryFailure, client_decide
+from .csm import SETTINGS, DeliveryFailure, client_decide, resilience
 from .field import ConfigurationError, uncounted
 from .machine import TransitionFunction
 
@@ -28,7 +28,7 @@ class ReplicationConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ConfigurationError(f"mode must be one of {MODES}")
-        if self.setting not in ("sync", "psync"):
+        if self.setting not in SETTINGS:
             raise ConfigurationError("setting must be sync or psync")
         if self.k_machines < 1 or self.n_nodes < 1:
             raise ConfigurationError("need at least one machine and node")
@@ -48,8 +48,7 @@ class ReplicationConfig:
     @property
     def beta(self) -> int:
         """Design fault tolerance of the client decision rule."""
-        q = self.group_size
-        return (q - 1) // 2 if self.setting == "sync" else (q - 1) // 3
+        return (self.group_size - 1) // resilience(self.setting)
 
     def group(self, k: int) -> range:
         """Node indices responsible for machine k."""
@@ -64,11 +63,6 @@ class ReplicationConfig:
             return range(self.k_machines)
         k = i // self.group_size
         return range(k, k + 1)
-
-    @property
-    def storage_elements_per_node(self) -> int:
-        per_machine = self.machine.state_dim
-        return per_machine * (self.k_machines if self.mode == "full" else 1)
 
 
 @dataclass(frozen=True)

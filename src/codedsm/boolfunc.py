@@ -10,7 +10,6 @@ bit. That is what lets bit-level machines run on extension-field words.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 from .field import BinaryField, ConfigurationError, Field
 
@@ -41,20 +40,6 @@ class MultiPoly:
         items.sort()
         return MultiPoly(arity, tuple(items))
 
-    @staticmethod
-    def zero(arity: int) -> "MultiPoly":
-        return MultiPoly(arity, ())
-
-    @staticmethod
-    def constant(arity: int, c: int) -> "MultiPoly":
-        return MultiPoly.make(arity, {(0,) * arity: c})
-
-    @staticmethod
-    def variable(arity: int, index: int) -> "MultiPoly":
-        exps = [0] * arity
-        exps[index] = 1
-        return MultiPoly.make(arity, {tuple(exps): 1})
-
     @property
     def total_degree(self) -> int:
         if not self.terms:
@@ -73,29 +58,6 @@ class MultiPoly:
                     term = field.mul(term, field.pow_(x, e))
             acc = field.add(acc, term)
         return acc
-
-    def add(self, other: "MultiPoly", field: Field) -> "MultiPoly":
-        if other.arity != self.arity:
-            raise ValueError("arity mismatch")
-        out = dict(self.terms)
-        for exps, coeff in other.terms:
-            out[exps] = field.add(out.get(exps, 0), coeff)
-        return MultiPoly.make(self.arity, out)
-
-    def mul(self, other: "MultiPoly", field: Field) -> "MultiPoly":
-        if other.arity != self.arity:
-            raise ValueError("arity mismatch")
-        out: dict[tuple[int, ...], int] = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = field.add(out.get(e, 0), field.mul(c1, c2))
-        return MultiPoly.make(self.arity, out)
-
-    def scale(self, c: int, field: Field) -> "MultiPoly":
-        return MultiPoly.make(
-            self.arity,
-            {exps: field.mul(c, coeff) for exps, coeff in self.terms})
 
     def remap(self, new_arity: int, var_map: dict[int, int]) -> "MultiPoly":
         """Re-index variables into a wider variable space.
@@ -148,23 +110,6 @@ class TruthTable:
             bits.append(1 if fn(*inp) else 0)
         return TruthTable(arity, tuple(bits))
 
-    @staticmethod
-    def from_file(path: str | Path) -> "TruthTable":
-        text = Path(path).read_text()
-        return TruthTable.parse(text)
-
-    @staticmethod
-    def parse(text: str) -> "TruthTable":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if len(lines) < 2:
-            raise ValueError("expected an arity line and a bits line")
-        arity = int(lines[0].strip())
-        bits = tuple(int(tok) for tok in lines[1].split())
-        return TruthTable(arity, bits)
-
-    def dump(self) -> str:
-        return f"{self.arity}\n{' '.join(str(b) for b in self.bits)}\n"
-
     def evaluate(self, inp: tuple[int, ...] | list[int]) -> int:
         if len(inp) != self.arity:
             raise ValueError("input length mismatch")
@@ -174,13 +119,6 @@ class TruthTable:
         """Input vectors whose output is 1."""
         return [index_to_bits(i, self.arity)
                 for i, b in enumerate(self.bits) if b == 1]
-
-    def zeros(self) -> list[tuple[int, ...]]:
-        return [index_to_bits(i, self.arity)
-                for i, b in enumerate(self.bits) if b == 0]
-
-    def negated(self) -> "TruthTable":
-        return TruthTable(self.arity, tuple(1 - b for b in self.bits))
 
 
 def index_to_bits(idx: int, arity: int) -> tuple[int, ...]:
@@ -243,14 +181,3 @@ def eval_embedded(poly: MultiPoly, bits, field: Field) -> int:
     args = [field.embed_bit(b) for b in bits]
     return poly.eval(field, args)
 
-
-def indicator_term_count(table: TruthTable) -> int:
-    """Size of the smaller of the two indicator-sum forms.
-
-    Summing indicators of accepting inputs takes one product term per
-    accepting input; equivalently one can take 1 plus the sum over
-    rejecting inputs. The smaller of the two never exceeds 2^(n-1).
-    """
-    n_ones = sum(table.bits)
-    n_zeros = len(table.bits) - n_ones
-    return min(n_ones, n_zeros + 1)

@@ -10,7 +10,6 @@ the corrupted share stays under the decoding radius.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -35,44 +34,43 @@ def _as_fraction(x) -> Fraction:
     return Fraction(x).limit_denominator(10**6)
 
 
+def resilience(setting: str) -> int:
+    """Results each tolerated fault costs: b faults need 2b + 1 results
+    beyond a round's degree under bounded delay (sync), and 3b + 1 under
+    partial synchrony (psync), where b honest results may also be late."""
+    if setting not in SETTINGS:
+        raise ConfigurationError(f"setting must be one of {SETTINGS}")
+    return 2 if setting == "sync" else 3
+
+
 def max_machines(n_nodes: int, fault_fraction, degree: int,
                  setting: str) -> int:
     """Largest machine count a node budget supports at a fault fraction."""
-    if setting not in SETTINGS:
-        raise ConfigurationError(f"setting must be one of {SETTINGS}")
+    r = resilience(setting)
     if degree < 1:
         raise ConfigurationError("degree must be at least 1")
     frac = _as_fraction(fault_fraction)
-    cap = Fraction(1, 2) if setting == "sync" else Fraction(1, 3)
+    cap = Fraction(1, r)
     if not 0 <= frac < cap:
         raise ConfigurationError(
             f"fault fraction {fault_fraction} out of range for {setting} "
             f"(needs 0 <= f < {cap})")
-    mult = 2 if setting == "sync" else 3
-    k = (1 - mult * frac) * n_nodes / degree + 1 - Fraction(1, degree)
+    k = (1 - r * frac) * n_nodes / degree + 1 - Fraction(1, degree)
     return int(k)  # int() floors here since k >= 0
 
 
 def check_budget(n_nodes: int, k_machines: int, degree: int, b: int,
                  setting: str) -> None:
     """Enforce the decoding, consensus, and delivery bounds for b faults."""
-    if setting not in SETTINGS:
-        raise ConfigurationError(f"setting must be one of {SETTINGS}")
+    r = resilience(setting)
     if b < 0:
         raise ConfigurationError("fault budget must be nonnegative")
     dd = degree * (k_machines - 1)
-    if setting == "sync":
-        if 2 * b + 1 > n_nodes - dd:
-            raise ConfigurationError(
-                f"decoding bound violated: 2*{b}+1 > {n_nodes}-{dd}")
-        if b + 1 > n_nodes:
-            raise ConfigurationError("consensus bound violated")
-    else:
-        if 3 * b + 1 > n_nodes - dd:
-            raise ConfigurationError(
-                f"decoding bound violated: 3*{b}+1 > {n_nodes}-{dd}")
-        if 3 * b + 1 > n_nodes:
-            raise ConfigurationError("consensus bound violated")
+    if r * b + 1 > n_nodes - dd:
+        raise ConfigurationError(
+            f"decoding bound violated: {r}*{b}+1 > {n_nodes}-{dd}")
+    if (b + 1 if setting == "sync" else 3 * b + 1) > n_nodes:
+        raise ConfigurationError("consensus bound violated")
     if 2 * b + 1 > n_nodes:
         raise ConfigurationError("output-delivery bound violated")
 
@@ -229,18 +227,6 @@ class DecodeClaim:
         return RoundResult(True, tuple(e[:sd] for e in self.evals),
                            tuple(e[sd:] for e in self.evals),
                            tuple(g_values), frozenset(self.tau))
-
-    def to_json(self) -> str:
-        return json.dumps({"tau": list(self.tau),
-                           "coeffs": [list(c) for c in self.coeffs],
-                           "evals": [list(e) for e in self.evals]})
-
-    @staticmethod
-    def from_json(text: str) -> "DecodeClaim":
-        d = json.loads(text)
-        return DecodeClaim(tuple(d["tau"]),
-                           tuple(tuple(c) for c in d["coeffs"]),
-                           tuple(tuple(e) for e in d["evals"]))
 
 
 def decode_claim(g_values, cfg: CodingConfig, budget: int,

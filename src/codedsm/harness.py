@@ -28,6 +28,7 @@ from .csm import (
     encode_states,
     execute_local,
     max_machines,
+    resilience,
 )
 from .field import ConfigurationError, parse_field, uncounted
 from .machine import make_machine
@@ -86,7 +87,7 @@ def design_tolerance(protocol: str, n_nodes: int, k_machines: int,
             raise ValueError("coded deployments carry an explicit budget")
         return b
     group = n_nodes if protocol == "full" else n_nodes // k_machines
-    return (group - 1) // (2 if setting == "sync" else 3)
+    return (group - 1) // resilience(setting)
 
 
 def compute_metrics(result: ExperimentResult,
@@ -123,6 +124,7 @@ def compute_metrics(result: ExperimentResult,
 # ---------------------------------------------------------------------------
 
 SWEEP_STRATEGIES = ("withhold", "corrupt", "collude")
+SWEEP_ROUNDS = 2   # sampled (states, commands) trials per placement
 
 
 @dataclass(frozen=True)
@@ -193,8 +195,7 @@ def _replication_violation(cfg, states, commands, faulty, strategy, rng):
 
 def sweep_security(protocol: str, n_nodes: int, k_machines: int = 1,
                    degree: int = 1, machine: str | None = None,
-                   setting: str = "sync", seed: int = 0,
-                   rounds: int = 2) -> SweepReport:
+                   setting: str = "sync", seed: int = 0) -> SweepReport:
     """Find the largest fault count no cataloged attack breaks.
 
     Exhausts every corruption placement against each strategy in the
@@ -215,7 +216,7 @@ def sweep_security(protocol: str, n_nodes: int, k_machines: int = 1,
     if protocol == "csm":
         d_bound = degree * (k_machines - 1)
         slack = n_nodes - d_bound - 1
-        b_design = slack // (2 if setting == "sync" else 3)
+        b_design = slack // resilience(setting)
         if b_design < 0:
             raise ConfigurationError("no fault budget at this K and N")
         deployment = CodingConfig.make(mach, k_machines, n_nodes, setting,
@@ -237,7 +238,7 @@ def sweep_security(protocol: str, n_nodes: int, k_machines: int = 1,
                      for _ in range(k_machines)),
                tuple(mach.random_command(sample_rng)
                      for _ in range(k_machines)))
-              for _ in range(rounds)]
+              for _ in range(SWEEP_ROUNDS)]
 
     with uncounted():
         for b in range(n_nodes + 1):

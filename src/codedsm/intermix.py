@@ -26,7 +26,6 @@ simulator's wall-clock work is shared.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from dataclasses import dataclass, field as dc_field
@@ -71,10 +70,9 @@ def committee_size(eps: float, mu) -> int:
 class AuditCommittee:
     members: tuple[int, ...]
     target_size: int
-    seed: int | None = None
 
 
-def elect_committee(n_nodes: int, mu, eps: float, beacon,
+def elect_committee(n_nodes: int, mu, eps: float, beacon: random.Random,
                     worker: int) -> AuditCommittee:
     """Draw J distinct auditors, never including the worker node.
 
@@ -89,11 +87,9 @@ def elect_committee(n_nodes: int, mu, eps: float, beacon,
         raise ConfigurationError("worker index out of range")
     if n_nodes < 2:
         raise ConfigurationError("need at least one non-worker node")
-    rng = beacon if isinstance(beacon, random.Random) else random.Random(beacon)
     pool = [i for i in range(n_nodes) if i != worker]
-    members = tuple(sorted(rng.sample(pool, min(j, len(pool)))))
-    seed = None if isinstance(beacon, random.Random) else int(beacon)
-    return AuditCommittee(members, j, seed)
+    members = tuple(sorted(beacon.sample(pool, min(j, len(pool)))))
+    return AuditCommittee(members, j)
 
 
 # ---------------------------------------------------------------------------
@@ -200,13 +196,14 @@ class Worker:
                                         self.vector, lo, mid)
                 right = _segment_product(self.field, self.matrix[row],
                                          self.vector, mid, hi)
-            if policy == "consistent" and row in self.strategy.deltas:
-                delta, anchor = self.strategy.deltas[row]
-                if lo <= anchor < mid:
-                    left = self.field.add(left, delta)
-                elif mid <= anchor < hi:
-                    right = self.field.add(right, delta)
-            elif policy == "random" and not self.strategy.honest:
+                if policy == "consistent" and row in self.strategy.deltas:
+                    delta, anchor = self.strategy.deltas[row]
+                    anchor %= len(self.vector)
+                    if lo <= anchor < mid:
+                        left = self.field.add(left, delta)
+                    elif mid <= anchor < hi:
+                        right = self.field.add(right, delta)
+            if policy == "random" and not self.strategy.honest:
                 left = self._rng.randrange(self.field.order)
                 right = self._rng.randrange(self.field.order)
             reply = (left, right)
@@ -249,25 +246,6 @@ class AuditTranscript:
         return (self.row,) + tuple(l.chosen for l in self.levels
                                    if l.chosen is not None)
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "auditor": self.auditor,
-            "claim": list(self.claim),
-            "row": self.row,
-            "levels": [[l.lo, l.mid, l.hi, l.parent_claim,
-                        l.claim_left, l.claim_right, l.chosen]
-                       for l in self.levels],
-            "alert": list(self.alert) if self.alert else None,
-        })
-
-    @staticmethod
-    def from_json(text: str) -> "AuditTranscript":
-        d = json.loads(text)
-        levels = tuple(LevelRecord(*row) for row in d["levels"])
-        alert = tuple(d["alert"]) if d["alert"] else None
-        return AuditTranscript(d["auditor"], tuple(d["claim"]), d["row"],
-                               levels, alert)
-
 
 def audit(fld: Field, matrix, vector, worker: Worker, auditor: int = 0,
           expected=None) -> AuditTranscript:
@@ -306,8 +284,9 @@ def audit(fld: Field, matrix, vector, worker: Worker, auditor: int = 0,
             levels.append(LevelRecord(lo, mid, hi, parent, c1, c2, None))
             return AuditTranscript(auditor, claim, row, tuple(levels),
                                    ("sum", len(levels) - 1))
+        # the halves sum to a wrong parent, so a true left half convicts
+        # the right one and only the left needs recomputing
         t1 = _segment_product(fld, matrix[row], vector, lo, mid)
-        t2 = _segment_product(fld, matrix[row], vector, mid, hi)
         side = 0 if c1 != t1 else 1
         levels.append(LevelRecord(lo, mid, hi, parent, c1, c2, side))
         if side == 0:
@@ -340,16 +319,15 @@ def _chain_consistent(tr: AuditTranscript, reply_log) -> tuple[bool, int]:
         comps += 1
         if rec.parent_claim != parent:
             return False, comps
-        if reply_log is not None:
-            logged = reply_log.get((tr.row, rec.lo, rec.mid, rec.hi), "?")
-            comps += 1
-            if logged == "?":
+        logged = reply_log.get((tr.row, rec.lo, rec.mid, rec.hi), "?")
+        comps += 1
+        if logged == "?":
+            return False, comps
+        if logged is None:
+            if rec.claim_left is not None or rec.claim_right is not None:
                 return False, comps
-            if logged is None:
-                if rec.claim_left is not None or rec.claim_right is not None:
-                    return False, comps
-            elif logged != (rec.claim_left, rec.claim_right):
-                return False, comps
+        elif logged != (rec.claim_left, rec.claim_right):
+            return False, comps
         if rec.chosen == 0:
             parent = rec.claim_left
         elif rec.chosen == 1:
@@ -358,11 +336,12 @@ def _chain_consistent(tr: AuditTranscript, reply_log) -> tuple[bool, int]:
 
 
 def commoner_check(tr: AuditTranscript, matrix, vector, fld: Field,
-                   reply_log=None) -> Verdict:
+                   reply_log) -> Verdict:
     """Settle one transcript with O(1) field arithmetic.
 
     Everything except the single flagged equality is comparisons against
-    public broadcast data; the flagged equality costs one addition or one
+    public broadcast data, ``reply_log`` being the worker's broadcast
+    replies; the flagged equality costs one addition or one
     multiplication.
     """
     if tr.alert is None:
@@ -769,7 +748,7 @@ def delegated_decode(g_values, dele: Delegation) -> DelegationOutcome:
                     continue
                 others = AuditCommittee(
                     tuple(m for m in committee.members if m != node),
-                    committee.target_size, committee.seed)
+                    committee.target_size)
                 ok, _, comps = verify_decode_claim(
                     g_values, counter, cfg, node, others, dele,
                     routes=routes)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field as dc_field
-from pathlib import Path
 
 from .boolfunc import (
     MultiPoly,
@@ -55,10 +54,6 @@ class TransitionFunction:
                 f"coordinate degree {actual} exceeds declared {declared}")
         object.__setattr__(self, "degree", declared)
 
-    @property
-    def arity(self) -> int:
-        return self.state_dim + self.cmd_dim
-
     def total_degree(self) -> int:
         return self.degree
 
@@ -85,54 +80,6 @@ class TransitionFunction:
 
     def random_command(self, rng: random.Random) -> tuple[int, ...]:
         return tuple(self.field.rand(rng) for _ in range(self.cmd_dim))
-
-    # -- plain-text description ------------------------------------------
-
-    def dump(self) -> str:
-        lines = [f"dims {self.state_dim} {self.cmd_dim} {self.out_dim}",
-                 f"degree {self.degree}"]
-        for c in self.coords:
-            if not c.terms:
-                lines.append("0")
-                continue
-            parts = [f"{coeff}:{','.join(str(e) for e in exps)}"
-                     for exps, coeff in c.terms]
-            lines.append(" ".join(parts))
-        return "\n".join(lines) + "\n"
-
-    @staticmethod
-    def parse(text: str, fld: Field) -> "TransitionFunction":
-        lines = [ln.strip() for ln in text.splitlines()
-                 if ln.strip() and not ln.strip().startswith("#")]
-        if not lines or not lines[0].startswith("dims "):
-            raise ValueError("machine description must start with 'dims'")
-        s, c, y = (int(tok) for tok in lines[0].split()[1:])
-        rest = lines[1:]
-        degree = 0
-        if rest and rest[0].startswith("degree "):
-            degree = int(rest[0].split()[1])
-            rest = rest[1:]
-        arity = s + c
-        coords = []
-        for ln in rest:
-            if ln == "0":
-                coords.append(MultiPoly.zero(arity))
-                continue
-            terms: dict[tuple[int, ...], int] = {}
-            for part in ln.split():
-                coeff_s, exps_s = part.split(":")
-                exps = tuple(int(e) for e in exps_s.split(","))
-                if len(exps) != arity:
-                    raise ValueError(f"monomial {part} has wrong arity")
-                coeff = int(coeff_s)
-                fld.check(coeff)
-                terms[exps] = fld.add(terms.get(exps, 0), coeff)
-            coords.append(MultiPoly.make(arity, terms))
-        return TransitionFunction(fld, s, c, y, tuple(coords), degree)
-
-    @staticmethod
-    def from_file(path: str | Path, fld: Field) -> "TransitionFunction":
-        return TransitionFunction.parse(Path(path).read_text(), fld)
 
 
 # ---------------------------------------------------------------------------

@@ -22,9 +22,9 @@ from fractions import Fraction
 
 from .baseline import ReplicationConfig, run_replicated_round
 from .csm import (
+    SETTINGS,
     CodingConfig,
     DeliveryFailure,
-    RoundResult,
     _as_fraction,
     client_decide,
     decode_round,
@@ -58,7 +58,6 @@ PROTOCOLS = ("csm", "full", "partial")
 CHANNELS = ("broadcast", "p2p")
 ADVERSARIES = ("none", "corrupt", "corrupt_random", "withhold", "delay",
                "equivocate", "false_audit", "dishonest_worker")
-SETTINGS = ("sync", "psync")
 
 
 # ---------------------------------------------------------------------------
@@ -69,17 +68,16 @@ SETTINGS = ("sync", "psync")
 class Timing:
     """Delivery discipline. In the partially synchronous mode messages may
     be delayed arbitrarily before the stabilization round ``gst`` and are
-    delivered within ``delta`` rounds afterwards. Node logic never reads
-    ``gst``; only the network scheduler does."""
+    delivered within one round afterwards. Node logic never reads ``gst``;
+    only the network scheduler does."""
 
     mode: str = "sync"
-    delta: int = 1
     gst: int = 0
 
     def __post_init__(self):
         if self.mode not in SETTINGS:
             raise ConfigurationError(f"timing mode must be one of {SETTINGS}")
-        if self.delta < 1 or self.gst < 0:
+        if self.gst < 0:
             raise ConfigurationError("bad timing parameters")
 
     @staticmethod
@@ -87,7 +85,7 @@ class Timing:
         if mode == "sync":
             return Timing("sync")
         gst = rng.randrange(0, max(1, horizon // 2) + 1)
-        return Timing("psync", 1, gst)
+        return Timing("psync", gst)
 
 
 def tamper(strategy: str, vectors, fld, rng: random.Random, rnd: int,
@@ -103,7 +101,7 @@ def tamper(strategy: str, vectors, fld, rng: random.Random, rnd: int,
         return None
     if strategy == "delay":
         if timing.mode == "psync" and rnd >= timing.gst:
-            return vectors  # still bound by delta after stabilization
+            return vectors  # delivered within a round after stabilization
         return None
     if strategy == "corrupt":
         return [tuple(fld.add(v, rng.randrange(1, fld.order)) for v in vec)
@@ -511,8 +509,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                seed=config.seed, b=b,
                mu=str(config.fault_fraction),
                machine=config.machine_name(),
-               timing={"mode": timing.mode, "delta": timing.delta,
-                       "gst": timing.gst},
+               timing={"mode": timing.mode, "delta": 1, "gst": timing.gst},
                faulty=sorted(adversary.faulty))
     if config.protocol == "csm":
         result = _run_csm(config, machine, k, b, timing, adversary, log,

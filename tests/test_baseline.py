@@ -120,14 +120,6 @@ def test_silence_events():
     assert rr.failures[0][0] == 0
 
 
-def test_storage_accounting():
-    m = bank_machine(F11)
-    assert ReplicationConfig(m, "full", 6, 3, "sync") \
-        .storage_elements_per_node == 3
-    assert ReplicationConfig(m, "partial", 6, 3, "sync") \
-        .storage_elements_per_node == 1
-
-
 def test_round_record_shape():
     cfg = ReplicationConfig(bank_machine(F11), "full", 3, 1, "sync")
     rr = run_replicated_round([(4,)], [(2,)], cfg)

@@ -189,7 +189,7 @@ def test_update_reencodes_decoded_states():
 
 
 def test_fixed_point_machine_keeps_coded_state():
-    ident = MultiPoly.variable(2, 0)
+    ident = MultiPoly.make(2, {(1, 0): 1})
     m = TransitionFunction(F11, 1, 1, 1, (ident, ident), 1)
     cfg = CodingConfig.make(m, 3, 7, "sync", b=1)
     states = ((3,), (6,), (9,))

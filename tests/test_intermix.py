@@ -94,6 +94,39 @@ def test_consistent_liar_pinned_to_one_scalar():
     assert not v.accepted and v.reason == "final-scalar-mismatch"
 
 
+def test_consistent_liar_anchor_wraps_to_a_column():
+    # an anchor past the last column still lands in one half at every
+    # level, so the sum checks pass and only the final scalar is wrong
+    rng = random.Random(21)
+    a, x = random_instance(rng, 3, 6)
+    w = Worker(F97, a, x, WorkerStrategy(deltas={1: (4, 6 + 2)},
+                                         reply="consistent"))
+    tr = audit(F97, a, x, w)
+    assert tr.alert[:2] == ("scalar", 2)
+    v = commoner_check(tr, a, x, F97, w.reply_log)
+    assert not v.accepted and v.reason == "final-scalar-mismatch"
+
+
+def test_auditor_charged_recomputation_and_left_halves_only():
+    # the lie sits in the last column, so the dispute goes right at every
+    # level: [0, 8) -> [4, 8) -> [6, 8) -> column 7
+    n, k = 4, 8
+    rng = random.Random(22)
+    a, x = random_instance(rng, n, k)
+    w = Worker(F97, a, x, WorkerStrategy(deltas={2: (5, k - 1)},
+                                         reply="consistent"))
+    w.claim()
+    auditor = OpCounter()
+    with counting(auditor):
+        tr = audit(F97, a, x, w)
+    assert tr.alert == ("scalar", k - 1, F97.add(F97.mul(a[2][k - 1],
+                                                         x[k - 1]), 5))
+    left = 4 + 2 + 1   # the left halves' products, one add per term
+    levels = 3         # one add per level checks c1 + c2 == parent
+    assert (auditor.muls, auditor.adds, auditor.invs) == (
+        n * k + left, n * (k - 1) + levels + left, 0)
+
+
 def test_silent_worker_blamed():
     rng = random.Random(3)
     a, x = random_instance(rng, 4, 8)
@@ -298,20 +331,6 @@ def test_forged_transcript_blames_auditor():
     assert v.reason == "auditor-alert-dismissed"
 
 
-def test_transcript_survives_json_replay():
-    rng = random.Random(9)
-    for reply in ("truthful", "consistent", "random"):
-        a, x = random_instance(rng, 5, 9)
-        w = Worker(F97, a, x, WorkerStrategy(deltas={2: (8, 3)}, reply=reply,
-                                             seed=1))
-        tr = audit(F97, a, x, w)
-        back = AuditTranscript.from_json(tr.to_json())
-        assert back == tr
-        v1 = commoner_check(tr, a, x, F97, w.reply_log)
-        v2 = commoner_check(back, a, x, F97, w.reply_log)
-        assert (v1.accepted, v1.reason) == (v2.accepted, v2.reason)
-
-
 def test_measured_session_cost_within_budget():
     rng = random.Random(13)
     for n, k in ((16, 8), (16, 32), (64, 8)):
@@ -487,9 +506,6 @@ def test_fabricated_decode_claims_rejected():
         ok, reason, _ = verify_decode_claim(g, lying_tau, cfg, 5, committee,
                                             dele)
         assert not ok
-
-    back = DecodeClaim.from_json(honest.to_json())
-    assert back == honest
 
 
 def test_delegated_single_machine_edge():

@@ -93,29 +93,6 @@ def test_coefficients_must_be_canonical():
         TransitionFunction(F11, 1, 1, 0, (bad,))
 
 
-def test_text_format_round_trip():
-    for name in MACHINES:
-        fld = GF16 if name == "boolcounter" else F97
-        m = make_machine(name, fld)
-        again = TransitionFunction.parse(m.dump(), fld)
-        assert again == m
-
-
-def test_text_format_frozen_example():
-    m = product_machine(F11)
-    assert m.dump() == "dims 1 1 1\ndegree 2\n1:1,1\n1:1,1\n"
-    parsed = TransitionFunction.parse(
-        "# running total\ndims 1 1 1\n1:1,0 1:0,1\n1:1,0 1:0,1\n", F11)
-    assert parsed == bank_machine(F11)
-
-
-def test_parse_rejects_garbage():
-    with pytest.raises(ValueError):
-        TransitionFunction.parse("1:1,1\n", F11)
-    with pytest.raises(ValueError):
-        TransitionFunction.parse("dims 1 1 1\ndegree 1\n1:1,1,1\n1:1,1\n", F11)
-
-
 def test_eval_all_concatenates_state_and_output():
     m = qmix_machine(F11)
     assert m.eval_all((4, 7), (2,)) == (4, 0, 7)

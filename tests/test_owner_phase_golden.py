@@ -9,7 +9,12 @@ each route among the roles that run it, and must not move.  The exception
 is the two ``coded-corrupt`` runs' lambda and count digest, re-recorded
 when the Reed-Solomon decoder changed from Berlekamp-Welch linear solves
 to Gao's decoder: their decoder leaves the optimistic path, so their psi
-counts moved.  Their event-log digests are unchanged.
+counts moved.  Their event-log digests are unchanged.  The
+``delegated-audit-7000`` lambda and count digest were re-recorded when the
+honest auditor stopped recomputing the right half of each bisection level,
+which it never reads, and a consistent liar's offset additions moved from
+the querying auditor's count to the worker's; its event-log digest is
+unchanged.
 
 The runs are every benchmark workload (read from ``perfbench/workloads.py``
 without importing ``perfbench`` as a package) at two experiment seeds,
@@ -72,8 +77,8 @@ GOLDEN = {
         '1d1aedb7b43c579c7dd5c35200d61238b63927d81586be5fb1de7cb7f6512372'),
     'delegated-audit-7000': (
         '1cba16c5194f61520b885c9f90a4ac4111c949f5ddfb56a90b12709b519525c7',
-        0.001763611729855099,
-        '378f9c024f28ecf23631cf762369b2f3309466f81b76db434752f480266e9b4f'),
+        0.0017638187492504025,
+        '87bea6cf189a3ad5378c13020f8ce00884a8645d09bd75ebd2617aff96f53a67'),
     'delegated-dishonest_worker-auto': (
         '367f48062d5aec8d9cdd269a3ad01a1d771ea9617486ab650255a42237338c78',
         0.005715918833952558,

@@ -9,6 +9,15 @@ One run's values were re-recorded when the Reed-Solomon decoder changed
 from Berlekamp-Welch linear solves to Gao's decoder: ``csm-corrupt-fast``'s
 psi counts and its ``net`` role total, because its decoder leaves the
 optimistic path.  Its event-log digest and every other value are unchanged.
+
+The two ``delegated-dishonest-worker`` runs' chi counts and role totals
+were re-recorded when a consistent liar's anchor column was reduced
+modulo the vector length: its lying update workers now carry their offset
+through the halving dispute to a scalar alert, where before they tripped
+the first sum check.  The dispute is charged as an auditor that
+recomputes only the left half of each level, and a worker that pays for
+its own offset additions.  Their event-log digests and their rho, psi and
+setup counts are unchanged.
 """
 
 import hashlib
@@ -195,24 +204,24 @@ GOLDEN_RUNS = {
         {'net': (2415210, 1823940, 10260)}),
     'delegated-dishonest-worker': (
         'f3b816af70e9262a2a309f9f39af43f999b9ac8fe4b979fa1d4c8ab0127cdfe2',
-        {'chi': (3292, 3272, 96),
+        {'chi': (3330, 3316, 96),
          'psi': (4136, 4200, 28),
          'rho': (1696, 2016, 48),
          'setup': (48, 64, 0)},
-        {'auditor': (6890, 6880, 120),
-         'commoner': (10, 0, 0),
+        {'auditor': (6930, 6910, 120),
+         'commoner': (0, 10, 0),
          'net': (112, 448, 0),
-         'node': (2160, 2224, 52)}),
+         'node': (2168, 2228, 52)}),
     'delegated-dishonest-worker-fast': (
         'f3b816af70e9262a2a309f9f39af43f999b9ac8fe4b979fa1d4c8ab0127cdfe2',
-        {'chi': (13972, 10304, 96),
+        {'chi': (14010, 10348, 96),
          'psi': (18316, 13964, 28),
          'rho': (7036, 5532, 48),
          'setup': (48, 64, 0)},
-        {'auditor': (33500, 24890, 120),
-         'commoner': (10, 0, 0),
+        {'auditor': (33540, 24920, 120),
+         'commoner': (0, 10, 0),
          'net': (112, 448, 0),
-         'node': (5750, 4526, 52)}),
+         'node': (5758, 4530, 52)}),
 }
 
 

@@ -268,7 +268,7 @@ def test_timing_validation():
     with pytest.raises(ConfigurationError):
         Timing("later")
     with pytest.raises(ConfigurationError):
-        Timing("sync", delta=0)
+        Timing("sync", gst=-1)
     assert Timing.draw("sync", random.Random(0), 10).gst == 0
 
 
@@ -485,11 +485,11 @@ def test_send_gives_one_message_per_label_round_and_node(strategy):
 
 def test_withhold_sends_nothing():
     assert _sent("withhold") is None
-    assert _sent("withhold", rnd=5, timing=Timing("psync", 1, 2)) is None
+    assert _sent("withhold", rnd=5, timing=Timing("psync", 2)) is None
 
 
 def test_delay_is_silent_until_stabilization():
-    timing = Timing("psync", 1, 3)
+    timing = Timing("psync", 3)
     assert _sent("delay", rnd=2, timing=timing) is None
     assert _sent("delay", rnd=3, timing=timing) == HONEST_VECS
     assert _sent("delay", rnd=9) is None  # sync never stabilizes late
