@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .csm import SETTINGS, DeliveryFailure, client_decide, resilience
-from .field import ConfigurationError, uncounted
+from .csm import SETTINGS, client_outputs, resilience
+from .field import ConfigurationError
 from .machine import TransitionFunction
 
 MODES = ("full", "partial")
@@ -67,11 +67,10 @@ class ReplicationConfig:
 
 @dataclass(frozen=True)
 class BaselineRound:
-    """One replicated round: honest trajectory plus client-side view."""
+    """One replicated round as the clients see it: the output decided for
+    each machine (None where none was), and why each missing one failed."""
 
-    next_states: tuple[tuple[int, ...], ...]
     outputs: tuple[tuple[int, ...] | None, ...]
-    reports: tuple
     failures: tuple[tuple[int, str], ...]
 
     @property
@@ -90,41 +89,15 @@ class BaselineRound:
         }
 
 
-def _decide_outputs(cfg: ReplicationConfig, reports):
-    """Client decision per machine from that machine's replica group."""
-    sd = cfg.machine.state_dim
-    outputs = []
-    failures = []
-    for k in range(cfg.k_machines):
-        pool = []
-        for i in cfg.group(k):
-            r = reports[i]
-            if r is None or r.get(k) is None:
-                pool.append(None)
-            else:
-                pool.append(tuple(r[k][sd:]))
-        try:
-            outputs.append(client_decide(pool, cfg.beta))
-        except DeliveryFailure as exc:
-            outputs.append(None)
-            failures.append((k, str(exc)))
-    return tuple(outputs), tuple(failures)
-
-
 def run_replicated_round(states, commands, cfg: ReplicationConfig,
                          tamper=None) -> BaselineRound:
     """Execute one round of full or partial replication.
 
     ``tamper(i, report)`` may replace node i's report dict (machine index
     -> flat next-state+output vector), or return None to stay silent.
-    Honest nodes advance their stored states from their own computation,
-    so the returned trajectory is the uncoded ground truth.
     """
     if len(states) != cfg.k_machines or len(commands) != cfg.k_machines:
         raise ValueError("need one state and one command per machine")
-    with uncounted():  # experimenter's ground truth, not protocol work
-        truth = [cfg.machine.eval_all(s, x) for s, x in zip(states, commands)]
-    sd = cfg.machine.state_dim
     reports = []
     for i in range(cfg.n_nodes):
         # replication means the node really recomputes every transition
@@ -134,7 +107,8 @@ def run_replicated_round(states, commands, cfg: ReplicationConfig,
         if tamper is not None:
             mine = tamper(i, mine)
         reports.append(mine)
-    outputs, failures = _decide_outputs(cfg, reports)
-    next_states = tuple(tuple(t[:sd]) for t in truth)
-    return BaselineRound(next_states, outputs, tuple(reports), failures)
-
+    sd = cfg.machine.state_dim
+    pools = [[None if r is None or r.get(k) is None else tuple(r[k][sd:])
+              for r in (reports[i] for i in cfg.group(k))]
+             for k in range(cfg.k_machines)]
+    return BaselineRound(*client_outputs(pools, cfg.beta))

@@ -20,6 +20,7 @@ from .rs import DecodeFailure, NoisyCodeword, decode
 
 SETTINGS = ("sync", "psync")
 DECODE_FAILURE = "decode failure (fault budget exceeded)"
+NO_QUORUM = "no value reached b+1 matching reports"
 
 
 class DeliveryFailure(Exception):
@@ -298,4 +299,17 @@ def client_decide(reports, b: int):
         best = max(counts.items(), key=lambda kv: kv[1])
         if best[1] >= b + 1:
             return best[0]
-    raise DeliveryFailure("no value reached b+1 matching reports")
+    raise DeliveryFailure(NO_QUORUM)
+
+
+def client_outputs(pools, b: int):
+    """`client_decide` on each machine's pool of reports: the outputs, None
+    where none was decided, and (machine, reason) for each of those."""
+    outputs, failures = [], []
+    for k, pool in enumerate(pools):
+        try:
+            outputs.append(client_decide(pool, b))
+        except DeliveryFailure as exc:
+            outputs.append(None)
+            failures.append((k, str(exc)))
+    return tuple(outputs), tuple(failures)

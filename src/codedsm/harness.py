@@ -26,11 +26,10 @@ from .csm import (
     decode_round,
     encode_commands,
     encode_states,
-    execute_local,
     max_machines,
     resilience,
 )
-from .field import ConfigurationError, parse_field, uncounted
+from .field import ConfigurationError, CounterBoard, parse_field, uncounted
 from .machine import make_machine
 from .simnet import (
     CONFIG_KEYS,
@@ -38,6 +37,10 @@ from .simnet import (
     ExperimentConfig,
     ExperimentResult,
     Timing,
+    coded_round,
+    ground_truth,
+    judge_delivery,
+    judge_reconstruction,
     read_bool,
     run_experiment,
     tamper,
@@ -149,69 +152,36 @@ def _tampered(strategy: str, vectors, fld, rng, shared):
     return tamper(strategy, vectors, fld, rng, 0, Timing())
 
 
-def _csm_violation(coding, states, commands, faulty, strategy, rng):
-    fld = coding.field
-    truth = [coding.machine.eval_all(s, x)
-             for s, x in zip(states, commands)]
-    sd = coding.machine.state_dim
-    g = [execute_local(s, x, coding)
-         for s, x in zip(encode_states(states, coding),
-                         encode_commands(commands, coding))]
-    shared = [tuple(rng.randrange(1, fld.order) for _ in g[0])]
-    for i in faulty:
-        sent = _tampered(strategy, [g[i]], fld, rng, shared)
-        g[i] = None if sent is None else sent[0]
-    result = decode_round(g, coding)
-    if not result.success:
-        return "liveness"
-    wrong = (result.next_states != tuple(tuple(t[:sd]) for t in truth)
-             or result.outputs != tuple(tuple(t[sd:]) for t in truth))
-    return "correctness" if wrong else None
-
-
-def _replication_violation(cfg, states, commands, faulty, strategy, rng):
-    fld = cfg.machine.field
-    truth = [cfg.machine.eval_all(s, x)
-             for s, x in zip(states, commands)]
-    sd = cfg.machine.state_dim
-    shared = {k: tuple(rng.randrange(1, fld.order) for _ in t)
-              for k, t in enumerate(truth)}
-
-    def report(i, mine):
-        if i not in faulty:
-            return mine
-        sent = _tampered(strategy, list(mine.values()), fld, rng,
-                         [shared[k] for k in mine])
-        return None if sent is None else dict(zip(mine, sent))
-
-    result = run_replicated_round(states, commands, cfg, report)
-    for k, out in enumerate(result.outputs):
-        if out is None:
-            return "liveness"
-        if tuple(out) != tuple(truth[k][sd:]):
-            return "correctness"
-    return None
-
-
 def sweep_security(protocol: str, n_nodes: int, k_machines: int = 1,
                    degree: int = 1, machine: str | None = None,
-                   setting: str = "sync", seed: int = 0) -> SweepReport:
+                   setting: str = "sync", seed: int = 0,
+                   field_spec: str = "prime:2147483647") -> SweepReport:
     """Find the largest fault count no cataloged attack breaks.
 
     Exhausts every corruption placement against each strategy in the
     catalog, growing the Byzantine set until a violation appears. The
     result is a lower-bound certificate: beta faults never broke the run,
-    and the witness shows beta + 1 faults doing so.
+    and the witness shows beta + 1 faults doing so. Rounds are the
+    simulator's, over ``field_spec``, with the placement as the network,
+    the direct decoder, and the simulator's judges.
     """
     if n_nodes > 20:
         raise ConfigurationError(
             "exhaustive placement search is limited to 20 nodes")
-    fld = parse_field("prime:2147483647")
+    fld = parse_field(field_spec)
     name = machine or ("bank" if degree == 1 else "product")
     mach = make_machine(name, fld)
     if mach.total_degree() != degree:
         raise ConfigurationError(
             f"machine {name!r} has degree {mach.total_degree()}")
+    sample_rng = _sweep_rng(seed, 0)
+    trials = [(tuple(mach.random_state(sample_rng)
+                     for _ in range(k_machines)),
+               tuple(mach.random_command(sample_rng)
+                     for _ in range(k_machines)))
+              for _ in range(SWEEP_ROUNDS)]
+    truths = [ground_truth(mach, states, commands)
+              for states, commands in trials]
 
     if protocol == "csm":
         d_bound = degree * (k_machines - 1)
@@ -219,26 +189,48 @@ def sweep_security(protocol: str, n_nodes: int, k_machines: int = 1,
         b_design = slack // resilience(setting)
         if b_design < 0:
             raise ConfigurationError("no fault budget at this K and N")
-        deployment = CodingConfig.make(mach, k_machines, n_nodes, setting,
-                                       b=b_design)
+        coding = CodingConfig.make(mach, k_machines, n_nodes, setting,
+                                   b=b_design)
+        board = CounterBoard()  # the sweep's own; nothing reads it
 
-        def violates(states, commands, faulty, strategy, rng):
-            return _csm_violation(deployment, states, commands, faulty,
-                                  strategy, rng)
+        def violates(trial, faulty, strategy, rng):
+            states, commands = trials[trial]
+
+            def deliver(g):
+                view = list(g)
+                shared = [tuple(rng.randrange(1, fld.order) for _ in g[0])]
+                for i in faulty:
+                    sent = _tampered(strategy, [view[i]], fld, rng, shared)
+                    view[i] = None if sent is None else sent[0]
+                return view
+
+            result = coded_round(encode_states(states, coding),
+                                 encode_commands(commands, coding), coding,
+                                 deliver,
+                                 lambda view: decode_round(view, coding),
+                                 board)
+            return judge_reconstruction(result, truths[trial], trial, False)
     else:
         deployment = ReplicationConfig(mach, protocol, n_nodes, k_machines,
                                        setting)
 
-        def violates(states, commands, faulty, strategy, rng):
-            return _replication_violation(deployment, states, commands,
-                                          faulty, strategy, rng)
+        def violates(trial, faulty, strategy, rng):
+            states, commands = trials[trial]
+            shared = [tuple(rng.randrange(1, fld.order)
+                            for _ in range(mach.state_dim + mach.out_dim))
+                      for _ in range(k_machines)]
 
-    sample_rng = _sweep_rng(seed, 0)
-    trials = [(tuple(mach.random_state(sample_rng)
-                     for _ in range(k_machines)),
-               tuple(mach.random_command(sample_rng)
-                     for _ in range(k_machines)))
-              for _ in range(SWEEP_ROUNDS)]
+            def report(i, mine):
+                if i not in faulty:
+                    return mine
+                sent = _tampered(strategy, list(mine.values()), fld, rng,
+                                 [shared[k] for k in mine])
+                return None if sent is None else dict(zip(mine, sent))
+
+            result = run_replicated_round(states, commands, deployment,
+                                          report)
+            return judge_delivery(result.outputs, truths[trial][1], trial,
+                                  False, "no output delivered")
 
     with uncounted():
         for b in range(n_nodes + 1):
@@ -246,16 +238,17 @@ def sweep_security(protocol: str, n_nodes: int, k_machines: int = 1,
                 place_key = sum((i + 1) * 31 ** p
                                 for p, i in enumerate(placement))
                 for strategy in SWEEP_STRATEGIES:
-                    for trial, (states, commands) in enumerate(trials):
+                    for trial in range(SWEEP_ROUNDS):
                         rng = _sweep_rng(seed, b, place_key,
                                          SWEEP_STRATEGIES.index(strategy),
                                          trial)
-                        clause = violates(states, commands, set(placement),
-                                          strategy, rng)
-                        if clause is not None:
+                        found = violates(trial, set(placement), strategy,
+                                         rng)
+                        if found:
                             witness = {"b": b, "placement": list(placement),
                                        "strategy": strategy,
-                                       "clause": clause, "round": trial}
+                                       "clause": found[0]["clause"],
+                                       "round": trial}
                             return SweepReport(b - 1, witness)
     return SweepReport(n_nodes, None)
 
@@ -361,7 +354,7 @@ def run_cli(argv=None) -> int:
                     protocol, cfg.n_nodes, result.k_machines,
                     result.log.of("header")[0]["d"],
                     machine=cfg.machine_name(), setting=cfg.setting,
-                    seed=cfg.seed)
+                    seed=cfg.seed, field_spec=cfg.field_spec)
                 beta = report.beta
             rec = compute_metrics(result, beta=beta)
         except ConfigurationError as exc:

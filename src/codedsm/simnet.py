@@ -24,9 +24,9 @@ from .baseline import ReplicationConfig, run_replicated_round
 from .csm import (
     SETTINGS,
     CodingConfig,
-    DeliveryFailure,
+    NO_QUORUM,
     _as_fraction,
-    client_decide,
+    client_outputs,
     decode_round,
     encode_commands,
     encode_states,
@@ -482,6 +482,62 @@ def _pick_faulty(n: int, b: int, rng: random.Random) -> frozenset[int]:
     return frozenset(rng.sample(range(n), b))
 
 
+def ground_truth(machine, states, commands):
+    """A round's fault-free next states and outputs. It is the
+    experimenter's reference, not protocol work, so it is never counted."""
+    with uncounted():
+        flat = [machine.eval_all(s, x) for s, x in zip(states, commands)]
+    sd = machine.state_dim
+    return tuple(t[:sd] for t in flat), tuple(t[sd:] for t in flat)
+
+
+def judge_reconstruction(result, truth, rnd: int,
+                         pre_stabilization: bool) -> list[dict]:
+    """Violations of one round's coded reconstruction: liveness, with the
+    decoder's reason, when it failed, unless before stabilization; and
+    correctness when it differs from the ground ``truth``."""
+    if not result.success:
+        if pre_stabilization:
+            return []
+        return [{"round": rnd, "clause": "liveness",
+                 "detail": result.violation or "round not decodable"}]
+    if (result.next_states, result.outputs) != truth:
+        return [{"round": rnd, "clause": "correctness",
+                 "detail": "reconstruction differs from fault-free "
+                           "trajectory"}]
+    return []
+
+
+def judge_delivery(outputs, truth_out, rnd: int, pre_stabilization: bool,
+                   why_missing: str) -> list[dict]:
+    """Violations of per-machine delivered ``outputs``: a missing one
+    (None) breaks liveness, for the reason ``why_missing``, unless before
+    stabilization; a wrong one breaks correctness."""
+    violations = []
+    for mk, out in enumerate(outputs):
+        if out is None:
+            if not pre_stabilization:
+                violations.append({"round": rnd, "clause": "liveness",
+                                   "detail": f"machine {mk}: {why_missing}"})
+        elif tuple(out) != tuple(truth_out[mk]):
+            violations.append({"round": rnd, "clause": "correctness",
+                               "detail": f"machine {mk}: delivered output "
+                                         "differs from fault-free run"})
+    return violations
+
+
+def coded_round(coded_states, coded_commands, coding: CodingConfig,
+                deliver, decode, board: CounterBoard):
+    """One round of coded execution. Every node runs the transition on its
+    coded slice, charged to ``board`` as ``net``/``rho``; ``deliver``
+    turns those results into what the decoder sees, and ``decode``
+    rebuilds the round from that into a `RoundResult`."""
+    with board.scope("net", "rho"):
+        g = [execute_local(s, x, coding)
+             for s, x in zip(coded_states, coded_commands)]
+    return decode(deliver(g))
+
+
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run one seeded experiment and return its log and violation list.
 
@@ -511,15 +567,42 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                machine=config.machine_name(),
                timing={"mode": timing.mode, "delta": 1, "gst": timing.gst},
                faulty=sorted(adversary.faulty))
+    states = tuple(machine.random_state(init_rng) for _ in range(k))
+    log.append("init", states=[list(s) for s in states])
     if config.protocol == "csm":
-        result = _run_csm(config, machine, k, b, timing, adversary, log,
-                          board, init_rng, cmd_rng, beacon)
+        play = _coded_rounds(config, machine, k, b, timing, adversary, log,
+                             board, beacon, states)
     else:
-        result = _run_replicated(config, machine, k, b, timing, adversary,
-                                 log, board, init_rng, cmd_rng)
-    log.append("summary", rounds_run=result.rounds_run,
-               violations=len(result.violations), ok=result.ok)
-    return result
+        play = _replicated_rounds(config, machine, k, timing, adversary,
+                                  log, board)
+    pool = CommandPool(k)
+    noop = (0,) * machine.cmd_dim
+    violations: list[dict] = []
+    rounds_run = 0
+    for rnd in range(config.rounds):
+        _submit_round_commands(pool, machine, cmd_rng, rnd, log)
+        commands, clients = consensus_oracle(pool, noop)
+        log.append("consensus", round=rnd,
+                   commands=[list(c) for c in commands],
+                   clients=list(clients))
+        truth = ground_truth(machine, states, commands)
+        found, goes_on = play(rnd, states, commands, truth,
+                              timing.mode == "psync" and rnd < timing.gst)
+        violations.extend(found)
+        # A coded round that cannot be decoded ends the run, even before
+        # stabilization where that is no violation, because no coded
+        # state can be updated without a decode; so does a wrong decode
+        # or an unverifiable delegated encode or update. Replicas keep
+        # plain states, so replication goes on past a silent round and
+        # stops only at a violation.
+        if not goes_on:
+            break
+        states = truth[0]
+        rounds_run += 1
+    log.append("summary", rounds_run=rounds_run,
+               violations=len(violations), ok=not violations)
+    return ExperimentResult(config, log, violations, board, rounds_run,
+                            states, k, b)
 
 
 def _submit_round_commands(pool, machine, cmd_rng, rnd, log):
@@ -531,42 +614,14 @@ def _submit_round_commands(pool, machine, cmd_rng, rnd, log):
                    command=list(cmd))
 
 
-def _deliver_outputs(decoded_outputs, truth_out, adversary, fld, rnd,
-                     timing, n_nodes, b, log, violations):
-    """Client-side acceptance of per-machine outputs from node reports."""
-    sent = [adversary.send("deliver", rnd, i, decoded_outputs, fld, timing)
-            for i in range(n_nodes)]
-    delivered = []
-    ok = True
-    for mk in range(len(truth_out)):
-        reports = [None if s is None else s[mk] for s in sent]
-        try:
-            got = client_decide(reports, b)
-        except DeliveryFailure as exc:
-            delivered.append(None)
-            ok = False
-            violations.append({"round": rnd, "clause": "liveness",
-                               "detail": f"machine {mk}: {exc}"})
-            continue
-        delivered.append(list(got))
-        if tuple(got) != tuple(truth_out[mk]):
-            ok = False
-            violations.append({"round": rnd, "clause": "correctness",
-                               "detail": f"machine {mk}: delivered output "
-                                         "differs from fault-free run"})
-    log.append("deliver", round=rnd, delivered=delivered, ok=ok)
-
-
-def _run_csm(config, machine, k, b, timing, adversary, log, board,
-             init_rng, cmd_rng, beacon):
+def _coded_rounds(config, machine, k, b, timing, adversary, log, board,
+                  beacon, states):
+    """Encode the initial ``states`` and return the coded round that
+    `run_experiment`'s loop plays: its violations and whether the run
+    goes on."""
     coding = CodingConfig.make(machine, k, config.n_nodes, config.setting,
                                fault_fraction=config.fault_fraction, b=b)
-    fld = coding.field
-    n = coding.n_nodes
-    pool = CommandPool(k)
-    noop = (0,) * machine.cmd_dim
-    states = tuple(machine.random_state(init_rng) for _ in range(k))
-    log.append("init", states=[list(s) for s in states])
+    fld, n = coding.field, coding.n_nodes
     with board.scope("net", "setup"):
         coded_states = encode_states(states, coding)
     dele = None
@@ -576,163 +631,115 @@ def _run_csm(config, machine, k, b, timing, adversary, log, board,
             mode=config.poly_mode,
             worker_strategy_for=lambda i: adversary.worker_strategy(i, fld),
             auditor_strategy_for=adversary.auditor_policy)
-    violations: list[dict] = []
-    rounds_run = 0
-    for rnd in range(config.rounds):
-        _submit_round_commands(pool, machine, cmd_rng, rnd, log)
-        commands, clients = consensus_oracle(pool, noop)
-        log.append("consensus", round=rnd,
-                   commands=[list(c) for c in commands],
-                   clients=list(clients))
-        with uncounted():
-            truth = [machine.eval_all(s, x)
-                     for s, x in zip(states, commands)]
-        sd = machine.state_dim
-        truth_next = tuple(tuple(t[:sd]) for t in truth)
-        truth_out = tuple(tuple(t[sd:]) for t in truth)
+    equivocating = (adversary.strategy == "equivocate"
+                    and config.channel == "p2p")
 
-        # encode this round's commands
+    def play(rnd, states, commands, truth, pre_stabilization):
+        nonlocal coded_states
+        violations = []
+
+        def arrive(view, *receiver):
+            if timing.mode == "psync":
+                return adversary.arrivals(view, b, rnd, *receiver)
+            return view
+
+        def deliver(g):
+            log.append("execute", round=rnd, g=[list(v) for v in g])
+            view = list(g)
+            for i in () if equivocating else adversary.faulty:
+                sent = adversary.send("result", rnd, i, [g[i]], fld, timing)
+                view[i] = None if sent is None else sent[0]
+            view = arrive(view)
+            log.append("delivered", round=rnd,
+                       g=[None if v is None else list(v) for v in view])
+            if not equivocating:
+                return view
+            # one view per honest receiver; equivocation never withholds
+            return [arrive([adversary.send("equiv", rnd, i, [v], fld, timing,
+                                           r)[0] for i, v in enumerate(g)], r)
+                    for r in range(n) if r not in adversary.faulty]
+
+        def decode_direct(view):
+            probe = OpCounter()
+            with counting(probe):
+                result = decode_round(view, coding, config.poly_mode)
+            with board.scope("net", "psi"):  # every node runs the decoder
+                charge(adds=probe.adds * n, muls=probe.muls * n,
+                       invs=probe.invs * n)
+            return result
+
+        def decode_each(views):
+            # honest receivers decode their own views, and must agree
+            with board.scope("net", "psi"):
+                outcomes = [decode_round(v, coding, config.poly_mode)
+                            for v in views]
+            if len({(o.success, o.next_states, o.outputs)
+                    for o in outcomes}) > 1:
+                violations.append({"round": rnd, "clause": "consistency",
+                                   "detail": "honest receivers "
+                                             "reconstructed different "
+                                             "values"})
+            return outcomes[0]
+
+        def decode_delegated(view):
+            return delegated_decode(view, dele).value
+
         if dele is not None:
             enc = delegated_encode(commands, dele, phase="rho")
             if not enc.accepted:
-                violations.append({"round": rnd, "clause": "liveness",
-                                   "detail": f"command encoding "
-                                             f"unverifiable: {enc.reason}"})
-                break
+                return [{"round": rnd, "clause": "liveness",
+                         "detail": f"command encoding unverifiable: "
+                                   f"{enc.reason}"}], False
             coded_cmds = enc.value
         else:
             with board.scope("net", "rho"):
                 coded_cmds = encode_commands(commands, coding)
-
-        # local execution on every node
-        with board.scope("net", "rho"):
-            g_honest = [execute_local(coded_states[i], coded_cmds[i],
-                                      coding) for i in range(n)]
-        log.append("execute", round=rnd,
-                   g=[list(v) for v in g_honest])
-
-        # what the network delivers
-        equivocating = (adversary.strategy == "equivocate"
-                        and config.channel == "p2p")
-        base_view = list(g_honest)
-        if not equivocating:
-            for i in adversary.faulty:
-                sent = adversary.send("result", rnd, i, [g_honest[i]], fld,
-                                      timing)
-                base_view[i] = None if sent is None else sent[0]
-        if timing.mode == "psync":
-            base_view = adversary.arrivals(base_view, b, rnd)
-        log.append("delivered", round=rnd,
-                   g=[None if v is None else list(v) for v in base_view])
-
-        # reconstruction
-        if equivocating:
-            result, extra = _decode_per_receiver(
-                g_honest, coding, adversary, rnd, timing, b, board,
-                config.poly_mode)
-            violations.extend(extra)
-        elif dele is not None:
-            out = delegated_decode(base_view, dele)
-            result = out.value
-        else:
-            probe = OpCounter()
-            with counting(probe):
-                result = decode_round(base_view, coding, config.poly_mode)
-            with board.scope("net", "psi"):  # every node runs the decoder
-                charge(adds=probe.adds * n, muls=probe.muls * n,
-                       invs=probe.invs * n)
+        decode = (decode_delegated if dele is not None else
+                  decode_each if equivocating else decode_direct)
+        result = coded_round(coded_states, coded_cmds, coding, deliver,
+                             decode, board)
         log.append("decode", **result.record(rnd, commands))
+        failed = judge_reconstruction(result, truth, rnd, pre_stabilization)
+        violations += failed
+        if failed or not result.success:
+            return violations, False
 
-        if not result.success:
-            pre_stabilization = (timing.mode == "psync"
-                                 and rnd < timing.gst)
-            if not pre_stabilization:
-                violations.append({"round": rnd, "clause": "liveness",
-                                   "detail": result.violation or
-                                   "round not decodable"})
-            break
-        if result.next_states != truth_next or result.outputs != truth_out:
-            violations.append({"round": rnd, "clause": "correctness",
-                               "detail": "reconstruction differs from "
-                                         "fault-free trajectory"})
-            break
+        sent = [adversary.send("deliver", rnd, i, result.outputs, fld, timing)
+                for i in range(n)]
+        delivered, _ = client_outputs(
+            [[None if s is None else s[mk] for s in sent] for mk in range(k)],
+            b)
+        found = judge_delivery(delivered, truth[1], rnd, pre_stabilization,
+                               NO_QUORUM)
+        log.append("deliver", round=rnd, ok=not found,
+                   delivered=[None if y is None else list(y)
+                              for y in delivered])
+        violations += found
 
-        _deliver_outputs(result.outputs, truth_out, adversary, fld, rnd,
-                         timing, n, b, log, violations)
-
-        # state update
         if dele is not None:
             upd = delegated_update(result.next_states, dele)
             if not upd.accepted:
                 violations.append({"round": rnd, "clause": "liveness",
                                    "detail": f"state update unverifiable: "
                                              f"{upd.reason}"})
-                break
+                return violations, False
             coded_states = upd.value
         else:
             with board.scope("net", "chi"):
                 coded_states = update_coded_states(result.next_states,
                                                    coding)
-        states = truth_next
-        rounds_run += 1
-    return ExperimentResult(config, log, violations, board, rounds_run,
-                            states, k, b)
+        return violations, True
+
+    return play
 
 
-def _decode_per_receiver(g_honest, coding, adversary, rnd, timing, b,
-                         board, mode):
-    """Point-to-point equivocation: each honest receiver decodes its own
-    view; reconstructions must nonetheless agree."""
-    n = coding.n_nodes
-    fld = coding.field
-    violations = []
-    outcomes = []
-    for receiver in range(n):
-        if receiver in adversary.faulty:
-            continue
-        # equivocation never withholds, so every view is complete
-        view = [adversary.send("equiv", rnd, i, [g], fld, timing,
-                               receiver)[0]
-                for i, g in enumerate(g_honest)]
-        if timing.mode == "psync":
-            view = adversary.arrivals(view, b, rnd, receiver)
-        with board.scope("net", "psi"):
-            outcomes.append(decode_round(view, coding, mode))
-    first = outcomes[0]
-    for other in outcomes[1:]:
-        same = (other.success == first.success
-                and other.next_states == first.next_states
-                and other.outputs == first.outputs)
-        if not same:
-            violations.append({"round": rnd, "clause": "consistency",
-                               "detail": "honest receivers reconstructed "
-                                         "different values"})
-            break
-    return first, violations
-
-
-def _run_replicated(config, machine, k, b, timing, adversary, log, board,
-                    init_rng, cmd_rng):
+def _replicated_rounds(config, machine, k, timing, adversary, log, board):
+    """The replicated round that `run_experiment`'s loop plays: its
+    violations and whether the run goes on."""
     cfg = ReplicationConfig(machine, config.protocol, config.n_nodes, k,
                             config.setting)
-    pool = CommandPool(k)
-    noop = (0,) * machine.cmd_dim
-    states = tuple(machine.random_state(init_rng) for _ in range(k))
-    log.append("init", states=[list(s) for s in states])
-    violations: list[dict] = []
-    rounds_run = 0
-    for rnd in range(config.rounds):
-        _submit_round_commands(pool, machine, cmd_rng, rnd, log)
-        commands, clients = consensus_oracle(pool, noop)
-        log.append("consensus", round=rnd,
-                   commands=[list(c) for c in commands],
-                   clients=list(clients))
-        with uncounted():
-            truth = [machine.eval_all(s, x)
-                     for s, x in zip(states, commands)]
-        sd = machine.state_dim
-        truth_out = tuple(tuple(t[sd:]) for t in truth)
 
+    def play(rnd, states, commands, truth, pre_stabilization):
         def report(i, mine):
             # the whole report is one message: silence drops all of it
             sent = adversary.send("report", rnd, i, list(mine.values()),
@@ -742,21 +749,8 @@ def _run_replicated(config, machine, k, b, timing, adversary, log, board,
         with board.scope("net", "rho"):
             round_res = run_replicated_round(states, commands, cfg, report)
         log.append("round", **round_res.record(rnd, commands))
-        pre_stabilization = (timing.mode == "psync" and rnd < timing.gst)
-        for mk, output in enumerate(round_res.outputs):
-            if output is None:
-                if not pre_stabilization:
-                    violations.append(
-                        {"round": rnd, "clause": "liveness",
-                         "detail": f"machine {mk}: no output delivered"})
-            elif tuple(output) != truth_out[mk]:
-                violations.append(
-                    {"round": rnd, "clause": "correctness",
-                     "detail": f"machine {mk}: delivered output differs "
-                               "from fault-free run"})
-        if violations:
-            break
-        states = round_res.next_states
-        rounds_run += 1
-    return ExperimentResult(config, log, violations, board, rounds_run,
-                            states, k, b)
+        found = judge_delivery(round_res.outputs, truth[1], rnd,
+                               pre_stabilization, "no output delivered")
+        return found, not found
+
+    return play

@@ -11,6 +11,7 @@ from codedsm.baseline import (
 )
 from codedsm.field import ConfigurationError, PrimeField
 from codedsm.machine import bank_machine, product_machine
+from codedsm.simnet import ground_truth
 
 F11 = PrimeField(11)
 F97 = PrimeField(97)
@@ -43,7 +44,8 @@ def test_full_replication_tolerates_floor_half():
                               tamper=lie_on({0, 1}, (9, 9)))
     assert rr.success
     assert rr.outputs == ((6,), (10,))
-    assert rr.next_states == ((6,), (10,))
+    assert ground_truth(cfg.machine, [(4,), (7,)], [(2,), (3,)]) == \
+        (((6,), (10,)), ((6,), (10,)))
 
 
 def test_full_replication_beta_values():

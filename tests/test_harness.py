@@ -192,6 +192,21 @@ def test_cli_sweep_beta_overrides_design_value(tmp_path):
     assert row["beta"] == "2"
 
 
+def test_cli_sweep_beta_sweeps_the_run_field(tmp_path):
+    # the bit-counter machine exists only over GF(2^m)
+    code = run_cli(["run", "--protocol", "csm", "--machine", "boolcounter",
+                    "--field", "binary:8", "--n", "12", "--mu", "1/10",
+                    "--rounds", "2", "--sweep-beta", "--out", str(tmp_path)])
+    assert code == 0
+    (row,) = read_csv(tmp_path / "metrics.csv")
+    assert row["beta"] == "1"
+    report = sweep_security("csm", 12, 5, degree=2, machine="boolcounter",
+                            field_spec="binary:8")
+    assert report.witness == {"b": 2, "placement": [0, 1],
+                              "strategy": "withhold", "clause": "liveness",
+                              "round": 0}
+
+
 def test_cli_reads_config_file_with_flag_overrides(tmp_path):
     cfg = ExperimentConfig(protocol="csm", n_nodes=10, degree=2,
                            fault_fraction=Fraction(1, 5), rounds=3,

@@ -7,7 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from codedsm.field import ConfigurationError, parse_field
+from codedsm import harness, simnet
+from codedsm.csm import RoundResult
+from codedsm.field import ConfigurationError, OpCounter, counting, parse_field
 from codedsm.machine import make_machine
 from codedsm.simnet import (
     ADVERSARIES,
@@ -18,6 +20,9 @@ from codedsm.simnet import (
     ExperimentConfig,
     Timing,
     consensus_oracle,
+    ground_truth,
+    judge_delivery,
+    judge_reconstruction,
     run_experiment,
 )
 
@@ -359,6 +364,83 @@ def test_baseline_boards_have_no_coding_phases():
 def test_setup_encoding_kept_out_of_round_phases():
     res = run_experiment(_cfg(rounds=1))
     assert res.board.get("net", "setup").total() > 0
+
+
+# ---------------------------------------------------------------------------
+# the round loop's shared pieces
+# ---------------------------------------------------------------------------
+
+def test_ground_truth_is_eval_all_split_and_uncounted():
+    machine = make_machine("qmix", F)
+    rng = random.Random(5)
+    states = [machine.random_state(rng) for _ in range(3)]
+    commands = [machine.random_command(rng) for _ in range(3)]
+    counter = OpCounter()
+    with counting(counter):
+        flat = [machine.eval_all(s, x) for s, x in zip(states, commands)]
+        assert counter.total() > 0
+        counter.reset()
+        truth = ground_truth(machine, states, commands)
+    assert counter.total() == 0
+    assert truth == (tuple(t[:2] for t in flat), tuple(t[2:] for t in flat))
+
+
+@pytest.mark.parametrize("pre_stabilization", [False, True])
+def test_judge_reconstruction_clauses(pre_stabilization):
+    truth = (((6,), (10,)), ((6,), (10,)))
+
+    def judge(result):
+        return judge_reconstruction(result, truth, 3, pre_stabilization)
+
+    assert judge(RoundResult(True, *truth, (), frozenset())) == []
+    liveness = [] if pre_stabilization else [
+        {"round": 3, "clause": "liveness",
+         "detail": "malformed result vector"}]
+    assert judge(RoundResult.failed((), "malformed result vector")) == liveness
+    unnamed = RoundResult(False, None, None, (), None)
+    assert judge(unnamed) == ([] if pre_stabilization else [
+        {"round": 3, "clause": "liveness", "detail": "round not decodable"}])
+    # a wrong reconstruction is flagged before stabilization too
+    for wrong in ((((6,), (11,)), truth[1]), (truth[0], ((6,), (11,)))):
+        assert judge(RoundResult(True, *wrong, (), frozenset())) == [
+            {"round": 3, "clause": "correctness",
+             "detail": "reconstruction differs from fault-free trajectory"}]
+
+
+@pytest.mark.parametrize("pre_stabilization", [False, True])
+def test_judge_delivery_clauses(pre_stabilization):
+    truth_out = ((6,), (10,), (1,))
+
+    def judge(outputs):
+        return judge_delivery(outputs, truth_out, 2, pre_stabilization,
+                              "nobody spoke")
+
+    assert judge([(6,), [10], (1,)]) == []
+    liveness = [] if pre_stabilization else [
+        {"round": 2, "clause": "liveness",
+         "detail": "machine 0: nobody spoke"}]
+    correctness = [{"round": 2, "clause": "correctness",
+                    "detail": "machine 2: delivered output differs from "
+                              "fault-free run"}]
+    assert judge([None, (10,), (2,)]) == liveness + correctness
+
+
+def test_sweep_and_experiment_play_the_same_coded_round(monkeypatch):
+    assert harness.coded_round is simnet.coded_round
+    real = simnet.coded_round
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    for module in (simnet, harness):
+        monkeypatch.setattr(module, "coded_round", spy)
+    assert run_experiment(_cfg(rounds=2)).rounds_run == 2
+    assert len(calls) == 2
+    calls.clear()
+    assert harness.sweep_security("csm", 6, 2).beta == 2
+    assert calls
 
 
 # ---------------------------------------------------------------------------
