@@ -14,36 +14,29 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import itertools
-import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .baseline import ReplicationConfig, run_replicated_round
-from .csm import (
-    CodingConfig,
-    decode_round,
-    encode_commands,
-    encode_states,
-    max_machines,
-    resilience,
-)
+from .baseline import group_tolerance
+from .csm import max_machines, resilience
 from .field import ConfigurationError, CounterBoard, parse_field, uncounted
 from .machine import make_machine
 from .simnet import (
     CONFIG_KEYS,
     PROTOCOLS,
+    AdversaryModel,
+    EventLog,
     ExperimentConfig,
     ExperimentResult,
     Timing,
-    coded_round,
+    deployment,
     ground_truth,
-    judge_delivery,
-    judge_reconstruction,
+    protocol_round,
     read_bool,
     run_experiment,
-    tamper,
+    seed_streams,
 )
 
 CSV_SCHEMA = "codedsm.metrics.v1"
@@ -89,8 +82,8 @@ def design_tolerance(protocol: str, n_nodes: int, k_machines: int,
         if b is None:
             raise ValueError("coded deployments carry an explicit budget")
         return b
-    group = n_nodes if protocol == "full" else n_nodes // k_machines
-    return (group - 1) // resilience(setting)
+    return group_tolerance(
+        n_nodes if protocol == "full" else n_nodes // k_machines, setting)
 
 
 def compute_metrics(result: ExperimentResult,
@@ -136,22 +129,6 @@ class SweepReport:
     witness: dict | None   # violating run at beta + 1, if one was found
 
 
-def _sweep_rng(seed: int, *salt: int) -> random.Random:
-    mix = seed
-    for s in salt:
-        mix = (mix * 1000003 + s + 1) & (2 ** 63 - 1)
-    return random.Random(mix)
-
-
-def _tampered(strategy: str, vectors, fld, rng, shared):
-    """A faulty node's message in the sweep. Colluding nodes all add the
-    same ``shared`` deltas; the other strategies are the simulator's."""
-    if strategy == "collude":
-        return [tuple(fld.add(v, d) for v, d in zip(vec, delta))
-                for vec, delta in zip(vectors, shared)]
-    return tamper(strategy, vectors, fld, rng, 0, Timing())
-
-
 def sweep_security(protocol: str, n_nodes: int, k_machines: int = 1,
                    degree: int = 1, machine: str | None = None,
                    setting: str = "sync", seed: int = 0,
@@ -161,89 +138,48 @@ def sweep_security(protocol: str, n_nodes: int, k_machines: int = 1,
     Exhausts every corruption placement against each strategy in the
     catalog, growing the Byzantine set until a violation appears. The
     result is a lower-bound certificate: beta faults never broke the run,
-    and the witness shows beta + 1 faults doing so. Rounds are the
-    simulator's, over ``field_spec``, with the placement as the network,
-    the direct decoder, and the simulator's judges.
+    and the witness shows beta + 1 faults doing so. Each trial is one
+    round of the simulator's protocol, over ``field_spec``, after
+    stabilization, against an `AdversaryModel` holding the placement, and
+    judged as an experiment's round is.
     """
     if n_nodes > 20:
         raise ConfigurationError(
             "exhaustive placement search is limited to 20 nodes")
-    fld = parse_field(field_spec)
-    name = machine or ("bank" if degree == 1 else "product")
-    mach = make_machine(name, fld)
+    config = ExperimentConfig(protocol, n_nodes, k_machines, degree, machine,
+                              field_spec, setting=setting)
+    mach = make_machine(config.machine_name(), parse_field(field_spec))
     if mach.total_degree() != degree:
         raise ConfigurationError(
-            f"machine {name!r} has degree {mach.total_degree()}")
-    sample_rng = _sweep_rng(seed, 0)
-    trials = [(tuple(mach.random_state(sample_rng)
+            f"machine {config.machine_name()!r} has degree "
+            f"{mach.total_degree()}")
+    # a coded deployment is built for the most faults its decoder masks;
+    # replication takes no budget
+    b_design = (n_nodes - degree * (k_machines - 1) - 1) // resilience(setting)
+    layout = deployment(config, mach, k_machines, b_design)
+    states_rng, commands_rng, _, beacon = seed_streams(seed)
+    trials = [(tuple(mach.random_state(states_rng)
                      for _ in range(k_machines)),
-               tuple(mach.random_command(sample_rng)
+               tuple(mach.random_command(commands_rng)
                      for _ in range(k_machines)))
               for _ in range(SWEEP_ROUNDS)]
     truths = [ground_truth(mach, states, commands)
               for states, commands in trials]
-
-    if protocol == "csm":
-        d_bound = degree * (k_machines - 1)
-        slack = n_nodes - d_bound - 1
-        b_design = slack // resilience(setting)
-        if b_design < 0:
-            raise ConfigurationError("no fault budget at this K and N")
-        coding = CodingConfig.make(mach, k_machines, n_nodes, setting,
-                                   b=b_design)
-        board = CounterBoard()  # the sweep's own; nothing reads it
-
-        def violates(trial, faulty, strategy, rng):
-            states, commands = trials[trial]
-
-            def deliver(g):
-                view = list(g)
-                shared = [tuple(rng.randrange(1, fld.order) for _ in g[0])]
-                for i in faulty:
-                    sent = _tampered(strategy, [view[i]], fld, rng, shared)
-                    view[i] = None if sent is None else sent[0]
-                return view
-
-            result = coded_round(encode_states(states, coding),
-                                 encode_commands(commands, coding), coding,
-                                 deliver,
-                                 lambda view: decode_round(view, coding),
-                                 board)
-            return judge_reconstruction(result, truths[trial], trial, False)
-    else:
-        deployment = ReplicationConfig(mach, protocol, n_nodes, k_machines,
-                                       setting)
-
-        def violates(trial, faulty, strategy, rng):
-            states, commands = trials[trial]
-            shared = [tuple(rng.randrange(1, fld.order)
-                            for _ in range(mach.state_dim + mach.out_dim))
-                      for _ in range(k_machines)]
-
-            def report(i, mine):
-                if i not in faulty:
-                    return mine
-                sent = _tampered(strategy, list(mine.values()), fld, rng,
-                                 [shared[k] for k in mine])
-                return None if sent is None else dict(zip(mine, sent))
-
-            result = run_replicated_round(states, commands, deployment,
-                                          report)
-            return judge_delivery(result.outputs, truths[trial][1], trial,
-                                  False, "no output delivered")
+    timing = Timing(setting)
+    board = CounterBoard()  # the sweep's own; nothing reads it
 
     with uncounted():
         for b in range(n_nodes + 1):
             for placement in itertools.combinations(range(n_nodes), b):
-                place_key = sum((i + 1) * 31 ** p
-                                for p, i in enumerate(placement))
                 for strategy in SWEEP_STRATEGIES:
-                    for trial in range(SWEEP_ROUNDS):
-                        rng = _sweep_rng(seed, b, place_key,
-                                         SWEEP_STRATEGIES.index(strategy),
-                                         trial)
-                        found = violates(trial, set(placement), strategy,
-                                         rng)
+                    adversary = AdversaryModel(frozenset(placement),
+                                               strategy, seed)
+                    for trial, (states, commands) in enumerate(trials):
+                        play = protocol_round(config, layout, timing,
+                                              adversary, EventLog(), board,
+                                              beacon, states)
+                        found, _ = play(trial, states, commands,
+                                        truths[trial], False)
                         if found:
                             witness = {"b": b, "placement": list(placement),
                                        "strategy": strategy,

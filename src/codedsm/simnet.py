@@ -56,8 +56,8 @@ from .poly import MODES as POLY_MODES
 
 PROTOCOLS = ("csm", "full", "partial")
 CHANNELS = ("broadcast", "p2p")
-ADVERSARIES = ("none", "corrupt", "corrupt_random", "withhold", "delay",
-               "equivocate", "false_audit", "dishonest_worker")
+ADVERSARIES = ("none", "corrupt", "collude", "corrupt_random", "withhold",
+               "delay", "equivocate", "false_audit", "dishonest_worker")
 
 
 # ---------------------------------------------------------------------------
@@ -92,9 +92,9 @@ def tamper(strategy: str, vectors, fld, rng: random.Random, rnd: int,
            timing: Timing):
     """What one Byzantine node sends in place of its honest ``vectors``:
     the same list, a corrupted list, or None for silence. ``corrupt``
-    shifts every coordinate by a nonzero draw; ``corrupt_random`` and
-    ``equivocate`` (which a broadcast channel collapses to one value)
-    replace every coordinate by a fresh draw."""
+    and ``collude`` shift every coordinate by a nonzero draw;
+    ``corrupt_random`` and ``equivocate`` (which a broadcast channel
+    collapses to one value) replace every coordinate by a fresh draw."""
     if strategy in ("none", "false_audit", "dishonest_worker"):
         return vectors
     if strategy == "withhold":
@@ -103,7 +103,7 @@ def tamper(strategy: str, vectors, fld, rng: random.Random, rnd: int,
         if timing.mode == "psync" and rnd >= timing.gst:
             return vectors  # delivered within a round after stabilization
         return None
-    if strategy == "corrupt":
+    if strategy in ("corrupt", "collude"):
         return [tuple(fld.add(v, rng.randrange(1, fld.order)) for v in vec)
                 for vec in vectors]
     if strategy in ("corrupt_random", "equivocate"):
@@ -118,7 +118,8 @@ class AdversaryModel:
 
     Every deviation of a faulty node comes from here, and every message
     draws from its own stream, so one message's draws never shift
-    another's."""
+    another's. Colluders share one stream per message, so they all add
+    the same shifts."""
 
     faulty: frozenset[int]
     strategy: str = "none"
@@ -144,8 +145,9 @@ class AdversaryModel:
         ``vectors``; None is silence."""
         if node not in self.faulty:
             return vectors
+        sender = () if self.strategy == "collude" else (node,)
         return tamper(self.strategy, vectors, fld,
-                      self.stream(label, rnd, node, *salt), rnd, timing)
+                      self.stream(label, rnd, *sender, *salt), rnd, timing)
 
     def arrivals(self, values, b: int, rnd: int, *salt) -> list:
         """The results a node acts on under psync: the scheduler's pick
@@ -451,7 +453,9 @@ class ExperimentResult:
         return not self.violations
 
 
-def _streams(seed: int):
+def seed_streams(seed: int):
+    """A run's four streams: initial states, commands, the adversary's
+    seed and the public beacon."""
     base = random.Random(seed)
     return [random.Random(base.randrange(2 ** 63)) for _ in range(4)]
 
@@ -526,18 +530,6 @@ def judge_delivery(outputs, truth_out, rnd: int, pre_stabilization: bool,
     return violations
 
 
-def coded_round(coded_states, coded_commands, coding: CodingConfig,
-                deliver, decode, board: CounterBoard):
-    """One round of coded execution. Every node runs the transition on its
-    coded slice, charged to ``board`` as ``net``/``rho``; ``deliver``
-    turns those results into what the decoder sees, and ``decode``
-    rebuilds the round from that into a `RoundResult`."""
-    with board.scope("net", "rho"):
-        g = [execute_local(s, x, coding)
-             for s, x in zip(coded_states, coded_commands)]
-    return decode(deliver(g))
-
-
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run one seeded experiment and return its log and violation list.
 
@@ -551,7 +543,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     fld = parse_field(config.field_spec)
     machine = make_machine(config.machine_name(), fld)
     k, b, d = _derive_sizes(config, machine)
-    init_rng, cmd_rng, adv_seed_rng, beacon = _streams(config.seed)
+    init_rng, cmd_rng, adv_seed_rng, beacon = seed_streams(config.seed)
     timing = Timing.draw(config.setting, init_rng, config.rounds)
     adversary = AdversaryModel(
         _pick_faulty(config.n_nodes, b, init_rng), config.adversary,
@@ -569,12 +561,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                faulty=sorted(adversary.faulty))
     states = tuple(machine.random_state(init_rng) for _ in range(k))
     log.append("init", states=[list(s) for s in states])
-    if config.protocol == "csm":
-        play = _coded_rounds(config, machine, k, b, timing, adversary, log,
-                             board, beacon, states)
-    else:
-        play = _replicated_rounds(config, machine, k, timing, adversary,
-                                  log, board)
+    play = protocol_round(config, deployment(config, machine, k, b), timing,
+                          adversary, log, board, beacon, states)
     pool = CommandPool(k)
     noop = (0,) * machine.cmd_dim
     violations: list[dict] = []
@@ -589,12 +577,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         found, goes_on = play(rnd, states, commands, truth,
                               timing.mode == "psync" and rnd < timing.gst)
         violations.extend(found)
-        # A coded round that cannot be decoded ends the run, even before
-        # stabilization where that is no violation, because no coded
-        # state can be updated without a decode; so does a wrong decode
-        # or an unverifiable delegated encode or update. Replicas keep
-        # plain states, so replication goes on past a silent round and
-        # stops only at a violation.
+        # A run stops at a liveness or correctness violation. A coded run
+        # also stops at a round it cannot decode, even before
+        # stabilization where that is no violation: no coded state can be
+        # updated without a decode.
         if not goes_on:
             break
         states = truth[0]
@@ -614,14 +600,34 @@ def _submit_round_commands(pool, machine, cmd_rng, rnd, log):
                    command=list(cmd))
 
 
-def _coded_rounds(config, machine, k, b, timing, adversary, log, board,
-                  beacon, states):
-    """Encode the initial ``states`` and return the coded round that
-    `run_experiment`'s loop plays: its violations and whether the run
-    goes on."""
-    coding = CodingConfig.make(machine, k, config.n_nodes, config.setting,
-                               fault_fraction=config.fault_fraction, b=b)
-    fld, n = coding.field, coding.n_nodes
+def deployment(config: ExperimentConfig, machine, k: int, b: int):
+    """The coding of ``k`` machines for ``b`` faults, or their replica
+    placement, that ``config`` runs."""
+    if config.protocol == "csm":
+        return CodingConfig.make(machine, k, config.n_nodes, config.setting,
+                                 b=b)
+    return ReplicationConfig(machine, config.protocol, config.n_nodes, k,
+                             config.setting)
+
+
+def protocol_round(config: ExperimentConfig, layout, timing: Timing,
+                   adversary: AdversaryModel, log: EventLog,
+                   board: CounterBoard, beacon, states):
+    """The round of ``config``'s protocol on ``layout`` (its
+    `deployment`), starting from ``states``. Called as ``play(rnd,
+    states, commands, truth, pre_stabilization)``, it plays round ``rnd``
+    against ``adversary``, logs it to ``log``, charges it to ``board``
+    and returns its violations and whether the run goes on."""
+    if config.protocol == "csm":
+        return _coded_rounds(config, layout, timing, adversary, log, board,
+                             beacon, states)
+    return _replicated_rounds(layout, timing, adversary, log, board)
+
+
+def _coded_rounds(config, coding, timing, adversary, log, board, beacon,
+                  states):
+    """Encode the initial ``states`` and return the coded round."""
+    fld, n, k, b = coding.field, coding.n_nodes, coding.k_machines, coding.b
     with board.scope("net", "setup"):
         coded_states = encode_states(states, coding)
     dele = None
@@ -696,8 +702,10 @@ def _coded_rounds(config, machine, k, b, timing, adversary, log, board,
                 coded_cmds = encode_commands(commands, coding)
         decode = (decode_delegated if dele is not None else
                   decode_each if equivocating else decode_direct)
-        result = coded_round(coded_states, coded_cmds, coding, deliver,
-                             decode, board)
+        with board.scope("net", "rho"):
+            g = [execute_local(s, x, coding)
+                 for s, x in zip(coded_states, coded_cmds)]
+        result = decode(deliver(g))
         log.append("decode", **result.record(rnd, commands))
         failed = judge_reconstruction(result, truth, rnd, pre_stabilization)
         violations += failed
@@ -715,6 +723,8 @@ def _coded_rounds(config, machine, k, b, timing, adversary, log, board,
                    delivered=[None if y is None else list(y)
                               for y in delivered])
         violations += found
+        if found:
+            return violations, False
 
         if dele is not None:
             upd = delegated_update(result.next_states, dele)
@@ -733,17 +743,14 @@ def _coded_rounds(config, machine, k, b, timing, adversary, log, board,
     return play
 
 
-def _replicated_rounds(config, machine, k, timing, adversary, log, board):
-    """The replicated round that `run_experiment`'s loop plays: its
-    violations and whether the run goes on."""
-    cfg = ReplicationConfig(machine, config.protocol, config.n_nodes, k,
-                            config.setting)
+def _replicated_rounds(cfg, timing, adversary, log, board):
+    """The replicated round."""
 
     def play(rnd, states, commands, truth, pre_stabilization):
         def report(i, mine):
             # the whole report is one message: silence drops all of it
             sent = adversary.send("report", rnd, i, list(mine.values()),
-                                  machine.field, timing)
+                                  cfg.machine.field, timing)
             return None if sent is None else dict(zip(mine, sent))
 
         with board.scope("net", "rho"):

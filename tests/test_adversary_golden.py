@@ -18,6 +18,9 @@ GF(2^m) run, were re-recorded again when the per-operation matrix-vector
 product began each row's sum from its first product, charging k - 1 adds
 per row of k entries as the prime fields always have.  Its digest, muls
 and invs are unchanged.
+
+The ``collude`` rows were added when that strategy, which the security
+sweep had played on its own, joined the simulator's catalog.
 """
 
 import hashlib
@@ -68,6 +71,16 @@ GOLDEN_RUNS = {
         0.00023479506304247442, 0,
         {'chi': (3300, 3600, 0), 'psi': (3784080, 3842280, 25650),
          'rho': (2400, 4950, 0), 'setup': (660, 720, 0)}),
+    'csm-collude-psync': (
+        '1ddd9349b89d4cdc52baf04f0f6ffcd5bd7e33f83be2d9f0204d436c75224ed6',
+        0.00038228956697018143, 0,
+        {'chi': (1500, 1650, 0), 'psi': (2139300, 2152800, 15600),
+         'rho': (1800, 3450, 0), 'setup': (300, 330, 0)}),
+    'csm-collude-sync': (
+        'c93392a700bdfd552c30a10a59508b082285b20821dc5c1fed57a31912171985',
+        0.00034350489494475297, 0,
+        {'chi': (1650, 1800, 0), 'psi': (2599500, 2614500, 17100),
+         'rho': (1950, 3600, 0), 'setup': (330, 360, 0)}),
     'csm-corrupt-psync': (
         '5b9c08d7a47706e009c3d2ded5e9fd3c58961f59ef851855c6bed9e072a9a62f',
         0.00038228956697018143, 0,
@@ -163,6 +176,14 @@ GOLDEN_RUNS = {
         0.008606777837547068, 0,
         {'chi': (12000, 12000, 240), 'psi': (12200, 12320, 80),
          'rho': (12320, 12960, 240), 'setup': (112, 128, 0)}),
+    'full-collude-psync': (
+        'dddba5791b3e6e6303e7c99cfbc08122abaa0c1cd24e377a2301e75d475408e4',
+        0.061752988047808766, 0,
+        {'rho': (1950, 5580, 0)}),
+    'full-collude-sync': (
+        '3e44b2e3e8815c16f7762540a7d716ddcae2d2b6b02f09baf43e1725214b3efd',
+        0.061752988047808766, 0,
+        {'rho': (1950, 5580, 0)}),
     'full-corrupt-psync': (
         'b2ffd84b18ff4d3b15c9f979ab9c30bfcc8313f5cc5426115220ca52a2e1e0d6',
         0.061752988047808766, 0,
@@ -237,6 +258,14 @@ GOLDEN_RUNS = {
         0.0003815992825933487, 0,
         {'chi': (1650, 1800, 0), 'psi': (2339550, 2353050, 15390),
          'rho': (1950, 3600, 0), 'setup': (330, 360, 0)}),
+    'partial-collude-psync': (
+        'd45599989da4fb921f4ea1e295e66a2bfbdc14002da5ae360044ce3f237ca31a',
+        0.18518518518518517, 0,
+        {'rho': (630, 1800, 0)}),
+    'partial-collude-sync': (
+        '4ff25563448a847842e36b151e7051f9d156c8bf1dae2a50439e774900bb9bfe',
+        0.18518518518518517, 0,
+        {'rho': (630, 1800, 0)}),
     'partial-corrupt-psync': (
         '86a365ef03676974566292ce0c012133588762619ec7107d28650f7568e73833',
         0.18518518518518517, 0,

@@ -425,22 +425,44 @@ def test_judge_delivery_clauses(pre_stabilization):
     assert judge([None, (10,), (2,)]) == liveness + correctness
 
 
-def test_sweep_and_experiment_play_the_same_coded_round(monkeypatch):
-    assert harness.coded_round is simnet.coded_round
-    real = simnet.coded_round
-    calls = []
+def test_sweep_and_experiment_play_the_same_round(monkeypatch):
+    assert harness.protocol_round is simnet.protocol_round
+    real = simnet.protocol_round
+    played = []
 
-    def spy(*args):
-        calls.append(args)
-        return real(*args)
+    def spy(config, *args):
+        play = real(config, *args)
+
+        def counted(*round_args):
+            played.append(config.protocol)
+            return play(*round_args)
+
+        return counted
 
     for module in (simnet, harness):
-        monkeypatch.setattr(module, "coded_round", spy)
+        monkeypatch.setattr(module, "protocol_round", spy)
     assert run_experiment(_cfg(rounds=2)).rounds_run == 2
-    assert len(calls) == 2
-    calls.clear()
+    assert played == ["csm", "csm"]
+    played.clear()
     assert harness.sweep_security("csm", 6, 2).beta == 2
-    assert calls
+    assert played and set(played) == {"csm"}
+    played.clear()
+    assert harness.sweep_security("full", 5, 3).beta == 2
+    assert played and set(played) == {"full"}
+
+
+def test_psync_sweep_decodes_from_the_first_arrivals(monkeypatch):
+    real = simnet.decode_round
+    present = []
+
+    def spy(view, *args):
+        present.append(sum(v is not None for v in view))
+        return real(view, *args)
+
+    monkeypatch.setattr(simnet, "decode_round", spy)
+    # N=9, K=2, d=1 under psync: the decoding budget is b = 2
+    assert harness.sweep_security("csm", 9, 2, setting="psync").beta == 2
+    assert present and max(present) <= 9 - 2
 
 
 # ---------------------------------------------------------------------------
@@ -583,6 +605,18 @@ def test_corrupt_shifts_every_coordinate():
     for lie, truth in zip(sent, HONEST_VECS):
         assert len(lie) == len(truth)
         assert all(x != y for x, y in zip(lie, truth))
+
+
+def test_colluders_add_the_same_shifts():
+    honest = {1: [(1, 2, 3)], 2: [(4, 5, 6)]}
+    for strategy, shared in (("collude", True), ("corrupt", False)):
+        adv = AdversaryModel(frozenset({1, 2}), strategy, 7)
+        shifts = [tuple(F.sub(lie, truth) for lie, truth in zip(
+                      adv.send("result", 3, i, vecs, F, Timing())[0],
+                      vecs[0]))
+                  for i, vecs in honest.items()]
+        assert all(s != 0 for shift in shifts for s in shift)
+        assert (shifts[0] == shifts[1]) is shared
 
 
 @pytest.mark.parametrize("strategy", ["corrupt_random", "equivocate"])
