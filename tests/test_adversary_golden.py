@@ -21,6 +21,15 @@ and invs are unchanged.
 
 The ``collude`` rows were added when that strategy, which the security
 sweep had played on its own, joined the simulator's catalog.
+
+The lambda and psi counts of both ``p2p-equivocate`` runs were
+re-recorded when decoding began to charge every node, faulty receivers
+included, instead of honest receivers only: psi went from
+(2339550, 2353050, 15390) to (2599500, 2614500, 17100) under sync and from
+(1925370, 1937520, 14040) to (2139300, 2152800, 15600) under psync, and
+lambda from 3.8160e-4 to 3.4350e-4 and from 4.2467e-4 to 3.8229e-4.  They
+now equal the broadcast ``csm-corrupt`` runs'.  Their event-log digests
+are unchanged.
 """
 
 import hashlib
@@ -250,13 +259,13 @@ GOLDEN_RUNS = {
         {'rho': (1860, 5580, 0)}),
     'p2p-equivocate-psync': (
         '90aed0c791f8aea889c5ca02fbfd066a8f4b98df6cfe7ab3a4f8679117a1b710',
-        0.00042467435198554563, 0,
-        {'chi': (1500, 1650, 0), 'psi': (1925370, 1937520, 14040),
+        0.00038228956697018143, 0,
+        {'chi': (1500, 1650, 0), 'psi': (2139300, 2152800, 15600),
          'rho': (1800, 3450, 0), 'setup': (300, 330, 0)}),
     'p2p-equivocate-sync': (
         '1e8fdc790a385953ee6126b559432199d44a6d208322a7d119661c981851cf0b',
-        0.0003815992825933487, 0,
-        {'chi': (1650, 1800, 0), 'psi': (2339550, 2353050, 15390),
+        0.00034350489494475297, 0,
+        {'chi': (1650, 1800, 0), 'psi': (2599500, 2614500, 17100),
          'rho': (1950, 3600, 0), 'setup': (330, 360, 0)}),
     'partial-collude-psync': (
         'd45599989da4fb921f4ea1e295e66a2bfbdc14002da5ae360044ce3f237ca31a',

@@ -18,8 +18,11 @@ unchanged.
 
 The runs are every benchmark workload (read from ``perfbench/workloads.py``
 without importing ``perfbench`` as a package) at two experiment seeds,
-three rounds each, and the small delegated runs under every delegated-role
-attack in both polynomial modes.
+three rounds each, the small delegated runs under every delegated-role
+attack in both polynomial modes, and the point-to-point equivocation run
+of ``test_adversary_golden.py`` under sync and psync.  Those two were
+recorded after decoding began to charge every receiver, faulty ones
+included.
 """
 
 import hashlib
@@ -59,6 +62,13 @@ RUNS.update({
         delegate=True, adversary=adversary, poly_mode=mode, rounds=5, seed=3)
     for adversary in ("false_audit", "withhold", "dishonest_worker")
     for mode in ("auto", "fast")
+})
+RUNS.update({
+    f"p2p-equivocate-{setting}": dict(
+        protocol="csm", n_nodes=30, degree=2, fault_fraction=Fraction(1, 10),
+        channel="p2p", adversary="equivocate", setting=setting, rounds=5,
+        seed=3)
+    for setting in ("sync", "psync")
 })
 
 # run -> (event-log SHA-256, lambda, SHA-256 of the (owner, phase) counts)
@@ -103,6 +113,14 @@ GOLDEN = {
         '36684b43fc5e15c3c0d788c991a684d5b266abe82cdf9191f637ae0048b0ac0c',
         0.002948901073584297,
         'cfc57ecbf25b2fa34e69aa5f9733e545dcc6085828555b7c73bca4af9d9a4d3e'),
+    'p2p-equivocate-psync': (
+        '90aed0c791f8aea889c5ca02fbfd066a8f4b98df6cfe7ab3a4f8679117a1b710',
+        0.00038228956697018143,
+        '01a4c14e27b154d786b8d208a4a9fbba4d8d20e98e672cc7cbbd09160d27dfc9'),
+    'p2p-equivocate-sync': (
+        '1e8fdc790a385953ee6126b559432199d44a6d208322a7d119661c981851cf0b',
+        0.00034350489494475297,
+        '400c0557271457ad04693b263e7e3ec6326bbafeca97aef3526954c9d6692437'),
     'replicated-1013000': (
         'f1c038b53e9f528c63b535c371593ee63751ef2684a047df952d6a6311a0fb7c',
         0.027548209366391185,

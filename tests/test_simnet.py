@@ -9,8 +9,14 @@ import pytest
 
 from codedsm import harness, simnet
 from codedsm.csm import RoundResult
-from codedsm.field import ConfigurationError, OpCounter, counting, parse_field
-from codedsm.machine import make_machine
+from codedsm.field import (
+    ConfigurationError,
+    OpCounter,
+    charge,
+    counting,
+    parse_field,
+)
+from codedsm.machine import TransitionFunction, make_machine
 from codedsm.simnet import (
     ADVERSARIES,
     CONFIG_KEYS,
@@ -21,6 +27,7 @@ from codedsm.simnet import (
     Timing,
     consensus_oracle,
     ground_truth,
+    judge_consistency,
     judge_delivery,
     judge_reconstruction,
     run_experiment,
@@ -344,12 +351,59 @@ def test_delegated_costs_fold_into_protocol_phases():
 # operation accounting
 # ---------------------------------------------------------------------------
 
-def test_decode_cost_charged_for_every_node():
-    res = run_experiment(_cfg(adversary="none", rounds=3))
-    psi = res.board.get(phase="psi")
-    single = run_experiment(_cfg(adversary="none", rounds=3, n_nodes=10))
-    assert psi.total() % 10 == 0
-    assert single.board.get(phase="psi").total() == psi.total()
+def _spy_costs(monkeypatch, owner, name):
+    """Replace ``owner.name`` by a wrapper that records each call's count
+    and still charges it where the call was made."""
+    real = getattr(owner, name)
+    costs = []
+
+    def spy(*args):
+        cost = OpCounter()
+        with counting(cost):
+            out = real(*args)
+        charge(cost.adds, cost.muls, cost.invs)
+        costs.append(cost.total())
+        return out
+
+    monkeypatch.setattr(owner, name, spy)
+    return costs
+
+
+def test_decode_cost_charged_for_every_node(monkeypatch):
+    # one shared broadcast view: decoded once, charged to all 10 nodes
+    decodes = _spy_costs(monkeypatch, simnet, "decode_round")
+    for adversary in ("none", "corrupt"):
+        decodes.clear()
+        res = run_experiment(_cfg(adversary=adversary, rounds=3))
+        assert res.rounds_run == 3
+        assert len(decodes) == 3
+        assert res.board.get(phase="psi").total() == 10 * sum(decodes)
+
+
+def test_p2p_decodes_every_receivers_view(monkeypatch):
+    decodes = _spy_costs(monkeypatch, simnet, "decode_round")
+    res = run_experiment(_cfg(channel="p2p", adversary="equivocate",
+                              rounds=3))
+    assert res.rounds_run == 3
+    assert len(res.log.of("header")[0]["faulty"]) == 2
+    assert len(decodes) == 3 * 10   # faulty receivers decode too
+    assert res.board.get(phase="psi").total() == sum(decodes)
+
+
+@pytest.mark.parametrize("protocol,n,group", [("full", 10, 10),
+                                              ("partial", 9, 3)])
+def test_replicated_round_evaluates_each_transition_once(
+        monkeypatch, protocol, n, group):
+    evals = _spy_costs(monkeypatch, TransitionFunction, "eval_all")
+    res = run_experiment(ExperimentConfig(
+        protocol=protocol, n_nodes=n, k_machines=3, machine="qmix",
+        b=1, adversary="withhold", rounds=3, seed=11))
+    assert res.rounds_run == 3
+    # K in the round and K in the uncounted ground truth, per round
+    assert len(evals) == 3 * (3 + 3)
+    # each transition's count, charged once to every host (the silent
+    # faulty one too); evals holds it twice, from the round and the truth
+    assert 2 * res.board.get(phase="rho").total() == group * sum(evals)
 
 
 def test_baseline_boards_have_no_coding_phases():
@@ -423,6 +477,19 @@ def test_judge_delivery_clauses(pre_stabilization):
                     "detail": "machine 2: delivered output differs from "
                               "fault-free run"}]
     assert judge([None, (10,), (2,)]) == liveness + correctness
+
+
+def test_judge_consistency_compares_honest_outcomes_only():
+    good = RoundResult(True, ((6,),), ((1,),), (), frozenset())
+    bad = RoundResult(True, ((6,),), ((2,),), (), frozenset())
+    assert judge_consistency([good] * 4, frozenset(), 1) == []
+    assert judge_consistency([good, bad, good, bad], frozenset({1, 3}),
+                             1) == []
+    assert judge_consistency([good, good, bad, good], frozenset({1}),
+                             1) == [{"round": 1, "clause": "consistency",
+                                     "detail": "honest receivers "
+                                               "reconstructed different "
+                                               "values"}]
 
 
 def test_sweep_and_experiment_play_the_same_round(monkeypatch):
