@@ -14,6 +14,7 @@ Example:
 import argparse
 
 from codedsm.harness import sweep_security
+from codedsm.simnet import ExperimentConfig
 
 
 def parse_deployment(text: str):
@@ -36,8 +37,8 @@ def main() -> None:
     args = ap.parse_args()
 
     for protocol, n, k, d in args.deployments:
-        report = sweep_security(protocol, n, k, degree=d,
-                                setting=args.setting, seed=args.seed)
+        report = sweep_security(ExperimentConfig(
+            protocol, n, k, d, setting=args.setting, seed=args.seed))
         label = f"{protocol} N={n} K={k} d={d}"
         print(f"{label}: beta = {report.beta}")
         if report.witness:

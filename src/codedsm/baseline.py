@@ -17,12 +17,6 @@ from .machine import TransitionFunction
 MODES = ("full", "partial")
 
 
-def group_tolerance(group_size: int, setting: str) -> int:
-    """Faults a replica group of ``group_size`` nodes masks under the
-    matching-report rule."""
-    return (group_size - 1) // resilience(setting)
-
-
 @dataclass(frozen=True)
 class ReplicationConfig:
     machine: TransitionFunction
@@ -53,8 +47,9 @@ class ReplicationConfig:
 
     @property
     def beta(self) -> int:
-        """Design fault tolerance of the client decision rule."""
-        return group_tolerance(self.group_size, self.setting)
+        """Design fault tolerance of the client decision rule: the faults
+        one replica group masks under the matching-report rule."""
+        return (self.group_size - 1) // resilience(self.setting)
 
     def group(self, k: int) -> range:
         """Node indices responsible for machine k."""

@@ -60,16 +60,22 @@ def max_machines(n_nodes: int, fault_fraction, degree: int,
     return int(k)  # int() floors here since k >= 0
 
 
+def max_budget(n_nodes: int, k_machines: int, degree: int,
+               setting: str) -> int:
+    """The most faults a coded deployment's decoder masks: the largest b
+    with r*b + 1 <= N - d(K-1), r being the setting's `resilience`."""
+    return (n_nodes - degree * (k_machines - 1) - 1) // resilience(setting)
+
+
 def check_budget(n_nodes: int, k_machines: int, degree: int, b: int,
                  setting: str) -> None:
     """Enforce the decoding, consensus, and delivery bounds for b faults."""
-    r = resilience(setting)
     if b < 0:
         raise ConfigurationError("fault budget must be nonnegative")
-    dd = degree * (k_machines - 1)
-    if r * b + 1 > n_nodes - dd:
+    if b > max_budget(n_nodes, k_machines, degree, setting):
         raise ConfigurationError(
-            f"decoding bound violated: {r}*{b}+1 > {n_nodes}-{dd}")
+            f"decoding bound violated: {resilience(setting)}*{b}+1 > "
+            f"{n_nodes}-{degree * (k_machines - 1)}")
     if (b + 1 if setting == "sync" else 3 * b + 1) > n_nodes:
         raise ConfigurationError("consensus bound violated")
     if 2 * b + 1 > n_nodes:
@@ -120,6 +126,11 @@ class CodingConfig:
     @property
     def fault_fraction(self) -> Fraction:
         return Fraction(self.b, self.n_nodes)
+
+    @property
+    def beta(self) -> int:
+        """Design fault tolerance: the budget the deployment was built for."""
+        return self.b
 
     @property
     def flat_dim(self) -> int:

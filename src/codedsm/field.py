@@ -401,7 +401,10 @@ class PrimeKernels(LoopKernels):
     in long division, from which quotient terms vanish).  The numpy
     kernels, `matvec` and `lagrange`, use ``dtype``: int64 when p^2 < 2^63,
     so every product of two reduced values fits, and Python-int ``object``
-    otherwise.  Exact for any prime.
+    otherwise.  Exact for any prime.  The ``object`` kernels make one
+    Python-int operation per element plus numpy's dispatch, so for
+    p^2 >= 2^63 they are slower than a raw-int loop would be; they are
+    kept as the one code path because no workload uses such a prime.
     """
 
     def __init__(self, field: "PrimeField"):

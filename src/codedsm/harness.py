@@ -19,10 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .baseline import group_tolerance
-from .csm import max_machines, resilience
-from .field import ConfigurationError, CounterBoard, parse_field, uncounted
-from .machine import make_machine
+from .csm import max_budget, max_machines
+from .field import ConfigurationError, CounterBoard, uncounted
 from .simnet import (
     CONFIG_KEYS,
     PROTOCOLS,
@@ -32,6 +30,7 @@ from .simnet import (
     ExperimentResult,
     Timing,
     deployment,
+    derive_sizes,
     ground_truth,
     protocol_round,
     read_bool,
@@ -75,28 +74,18 @@ class MetricsRecord:
                 str(self.seed), str(self.violations))
 
 
-def design_tolerance(protocol: str, n_nodes: int, k_machines: int,
-                     setting: str = "sync", b: int | None = None) -> int:
-    """Fault count each protocol is built to mask on this deployment."""
-    if protocol == "csm":
-        if b is None:
-            raise ValueError("coded deployments carry an explicit budget")
-        return b
-    return group_tolerance(
-        n_nodes if protocol == "full" else n_nodes // k_machines, setting)
-
-
 def compute_metrics(result: ExperimentResult,
                     beta: int | None = None) -> MetricsRecord:
     """Reduce one finished run to its metric row.
 
     A run with flagged violations still yields a row (so sweeps can see
     what broke) but is marked invalid and its throughput is reported as 0.
+    Machine, K, degree and the design tolerance β are the run's layout's;
+    a given ``beta`` replaces the design value.
     """
-    cfg = result.config
-    machine = make_machine(cfg.machine_name(), parse_field(cfg.field_spec))
-    k, n = result.k_machines, cfg.n_nodes
-    sd = machine.state_dim
+    cfg, layout = result.config, result.layout
+    k, n = layout.k_machines, layout.n_nodes
+    sd = layout.machine.state_dim
     stored = sd * (k if cfg.protocol == "full" else 1)
     gamma = Fraction(k * sd, stored)
     if gamma > n:
@@ -108,8 +97,8 @@ def compute_metrics(result: ExperimentResult,
     t = result.rounds_run
     lam = (k * n * t) / total if result.ok and t and total else 0.0
     if beta is None:
-        beta = design_tolerance(cfg.protocol, n, k, cfg.setting, result.b)
-    return MetricsRecord(cfg.protocol, n, k, machine.total_degree(),
+        beta = layout.beta
+    return MetricsRecord(cfg.protocol, n, k, layout.machine.total_degree(),
                          cfg.fault_fraction, cfg.setting, beta, gamma, lam,
                          ops["rho"], ops["psi"], ops["chi"], cfg.seed,
                          len(result.violations), result.ok)
@@ -129,51 +118,46 @@ class SweepReport:
     witness: dict | None   # violating run at beta + 1, if one was found
 
 
-def sweep_security(protocol: str, n_nodes: int, k_machines: int = 1,
-                   degree: int = 1, machine: str | None = None,
-                   setting: str = "sync", seed: int = 0,
-                   field_spec: str = "prime:2147483647") -> SweepReport:
-    """Find the largest fault count no cataloged attack breaks.
+def sweep_security(config: ExperimentConfig) -> SweepReport:
+    """Find the largest fault count no cataloged attack breaks on the
+    deployment ``config`` describes.
 
     Exhausts every corruption placement against each strategy in the
     catalog, growing the Byzantine set until a violation appears. The
     result is a lower-bound certificate: beta faults never broke the run,
     and the witness shows beta + 1 faults doing so. Each trial is one
-    round of the simulator's protocol, over ``field_spec``, after
-    stabilization, against an `AdversaryModel` holding the placement, and
-    judged as an experiment's round is.
+    round of the simulator's protocol as ``config`` plays it (a delegated
+    config decodes through `delegated_decode`), after stabilization,
+    against an `AdversaryModel` holding the placement, and judged as an
+    experiment's round is. The sweep places its own faults and plays its
+    own catalog, so it ignores the config's fault budget and adversary,
+    except that a budget sizes K where the config gives none, as in the
+    run. A coded deployment is built for `csm.max_budget` faults, the
+    most its decoder masks.
     """
-    if n_nodes > 20:
+    n = config.n_nodes
+    if n > 20:
         raise ConfigurationError(
             "exhaustive placement search is limited to 20 nodes")
-    config = ExperimentConfig(protocol, n_nodes, k_machines, degree, machine,
-                              field_spec, setting=setting)
-    mach = make_machine(config.machine_name(), parse_field(field_spec))
-    if mach.total_degree() != degree:
-        raise ConfigurationError(
-            f"machine {config.machine_name()!r} has degree "
-            f"{mach.total_degree()}")
-    # a coded deployment is built for the most faults its decoder masks;
+    machine, k, _, d = derive_sizes(config)
     # replication takes no budget
-    b_design = (n_nodes - degree * (k_machines - 1) - 1) // resilience(setting)
-    layout = deployment(config, mach, k_machines, b_design)
-    states_rng, commands_rng, _, beacon = seed_streams(seed)
-    trials = [(tuple(mach.random_state(states_rng)
-                     for _ in range(k_machines)),
-               tuple(mach.random_command(commands_rng)
-                     for _ in range(k_machines)))
+    layout = deployment(config, machine, k,
+                        max_budget(n, k, d, config.setting))
+    states_rng, commands_rng, _, beacon = seed_streams(config.seed)
+    trials = [(tuple(machine.random_state(states_rng) for _ in range(k)),
+               tuple(machine.random_command(commands_rng) for _ in range(k)))
               for _ in range(SWEEP_ROUNDS)]
-    truths = [ground_truth(mach, states, commands)
+    truths = [ground_truth(machine, states, commands)
               for states, commands in trials]
-    timing = Timing(setting)
+    timing = Timing(config.setting)
     board = CounterBoard()  # the sweep's own; nothing reads it
 
     with uncounted():
-        for b in range(n_nodes + 1):
-            for placement in itertools.combinations(range(n_nodes), b):
+        for b in range(n + 1):
+            for placement in itertools.combinations(range(n), b):
                 for strategy in SWEEP_STRATEGIES:
                     adversary = AdversaryModel(frozenset(placement),
-                                               strategy, seed)
+                                               strategy, config.seed)
                     for trial, (states, commands) in enumerate(trials):
                         play = protocol_round(config, layout, timing,
                                               adversary, EventLog(), board,
@@ -279,19 +263,10 @@ def run_cli(argv=None) -> int:
         try:
             cfg = _config_from_args(args, protocol)
             if args.compare is not None:
-                machine = make_machine(cfg.machine_name(),
-                                       parse_field(cfg.field_spec))
-                k = _compare_k(cfg, machine.total_degree())
+                k = _compare_k(cfg, derive_sizes(cfg)[3])
                 cfg = dataclasses.replace(cfg, k_machines=k)
             result = run_experiment(cfg)
-            beta = None
-            if args.sweep_beta:
-                report = sweep_security(
-                    protocol, cfg.n_nodes, result.k_machines,
-                    result.log.of("header")[0]["d"],
-                    machine=cfg.machine_name(), setting=cfg.setting,
-                    seed=cfg.seed, field_spec=cfg.field_spec)
-                beta = report.beta
+            beta = sweep_security(cfg).beta if args.sweep_beta else None
             rec = compute_metrics(result, beta=beta)
         except ConfigurationError as exc:
             parser.error(str(exc))

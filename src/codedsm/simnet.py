@@ -144,8 +144,12 @@ class AdversaryModel:
         if node not in self.faulty:
             return vectors
         sender = () if self.strategy == "collude" else (node,)
-        return tamper(self.strategy, vectors, fld,
-                      self.stream(label, rnd, *sender, *salt), rnd, timing)
+        # a faulty node is charged what an honest one runs (`Memo`), so
+        # its lie itself is never counted
+        with uncounted():
+            return tamper(self.strategy, vectors, fld,
+                          self.stream(label, rnd, *sender, *salt), rnd,
+                          timing)
 
     def arrivals(self, values, b: int, rnd: int, *salt) -> list:
         """The first N-b results a node acts on under psync's timeout rule.
@@ -432,12 +436,15 @@ class ExperimentResult:
     board: CounterBoard
     rounds_run: int
     oracle_states: tuple
-    k_machines: int
-    b: int
+    layout: CodingConfig | ReplicationConfig   # the run's `deployment`
 
     @property
     def ok(self) -> bool:
         return not self.violations
+
+    @property
+    def k_machines(self) -> int:
+        return self.layout.k_machines
 
 
 def seed_streams(seed: int):
@@ -447,7 +454,11 @@ def seed_streams(seed: int):
     return [random.Random(base.randrange(2 ** 63)) for _ in range(4)]
 
 
-def _derive_sizes(config: ExperimentConfig, machine):
+def derive_sizes(config: ExperimentConfig):
+    """The machine ``config`` runs, its machine count K, its fault budget
+    b and the machine's degree d."""
+    machine = make_machine(config.machine_name(),
+                           parse_field(config.field_spec))
     n = config.n_nodes
     frac = config.fault_fraction
     d = machine.total_degree()
@@ -464,7 +475,7 @@ def _derive_sizes(config: ExperimentConfig, machine):
         k = max_machines(n, Fraction(b, n), d, config.setting)
     else:
         k = 1
-    return k, b, d
+    return machine, k, b, d
 
 
 def _pick_faulty(n: int, b: int, rng: random.Random) -> frozenset[int]:
@@ -542,9 +553,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     because `consensus_oracle` is an ideal functionality that only ever
     picks a submitted command or the no-op.
     """
-    fld = parse_field(config.field_spec)
-    machine = make_machine(config.machine_name(), fld)
-    k, b, d = _derive_sizes(config, machine)
+    machine, k, b, d = derive_sizes(config)
     init_rng, cmd_rng, adv_seed_rng, beacon = seed_streams(config.seed)
     timing = Timing.draw(config.setting, init_rng, config.rounds)
     adversary = AdversaryModel(
@@ -563,8 +572,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                faulty=sorted(adversary.faulty))
     states = tuple(machine.random_state(init_rng) for _ in range(k))
     log.append("init", states=[list(s) for s in states])
-    play = protocol_round(config, deployment(config, machine, k, b), timing,
-                          adversary, log, board, beacon, states)
+    layout = deployment(config, machine, k, b)
+    play = protocol_round(config, layout, timing, adversary, log, board,
+                          beacon, states)
     pool = CommandPool(k)
     noop = (0,) * machine.cmd_dim
     violations: list[dict] = []
@@ -590,7 +600,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     log.append("summary", rounds_run=rounds_run,
                violations=len(violations), ok=not violations)
     return ExperimentResult(config, log, violations, board, rounds_run,
-                            states, k, b)
+                            states, layout)
 
 
 def _submit_round_commands(pool, machine, cmd_rng, rnd, log):

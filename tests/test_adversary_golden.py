@@ -30,6 +30,13 @@ included, instead of honest receivers only: psi went from
 lambda from 3.8160e-4 to 3.4350e-4 and from 4.2467e-4 to 3.8229e-4.  They
 now equal the broadcast ``csm-corrupt`` runs'.  Their event-log digests
 are unchanged.
+
+The lambda and rho counts of the eight ``{full,partial}-{corrupt,collude}``
+runs were re-recorded when a faulty replica's tampering stopped being
+charged as protocol work: rho went from (1950, 5580, 0) to (1860, 5580, 0)
+under full replication and from (630, 1800, 0) to (600, 1800, 0) under
+partial, and lambda from 0.061753 to 0.0625 and from 0.185185 to 0.1875.
+Each now equals its ``none`` run.  Their event-log digests are unchanged.
 """
 
 import hashlib
@@ -187,20 +194,20 @@ GOLDEN_RUNS = {
          'rho': (12320, 12960, 240), 'setup': (112, 128, 0)}),
     'full-collude-psync': (
         'dddba5791b3e6e6303e7c99cfbc08122abaa0c1cd24e377a2301e75d475408e4',
-        0.061752988047808766, 0,
-        {'rho': (1950, 5580, 0)}),
+        0.0625, 0,
+        {'rho': (1860, 5580, 0)}),
     'full-collude-sync': (
         '3e44b2e3e8815c16f7762540a7d716ddcae2d2b6b02f09baf43e1725214b3efd',
-        0.061752988047808766, 0,
-        {'rho': (1950, 5580, 0)}),
+        0.0625, 0,
+        {'rho': (1860, 5580, 0)}),
     'full-corrupt-psync': (
         'b2ffd84b18ff4d3b15c9f979ab9c30bfcc8313f5cc5426115220ca52a2e1e0d6',
-        0.061752988047808766, 0,
-        {'rho': (1950, 5580, 0)}),
+        0.0625, 0,
+        {'rho': (1860, 5580, 0)}),
     'full-corrupt-sync': (
         'e42f788c24f92edddac50fa5f4a98b482b53c3da14366b7e69e5ae890abb9246',
-        0.061752988047808766, 0,
-        {'rho': (1950, 5580, 0)}),
+        0.0625, 0,
+        {'rho': (1860, 5580, 0)}),
     'full-corrupt_random-psync': (
         'b82554f2abb16079c29e7b867055bc50e55cefc2623e1c4a13921e47d4064254',
         0.0625, 0,
@@ -269,20 +276,20 @@ GOLDEN_RUNS = {
          'rho': (1950, 3600, 0), 'setup': (330, 360, 0)}),
     'partial-collude-psync': (
         'd45599989da4fb921f4ea1e295e66a2bfbdc14002da5ae360044ce3f237ca31a',
-        0.18518518518518517, 0,
-        {'rho': (630, 1800, 0)}),
+        0.1875, 0,
+        {'rho': (600, 1800, 0)}),
     'partial-collude-sync': (
         '4ff25563448a847842e36b151e7051f9d156c8bf1dae2a50439e774900bb9bfe',
-        0.18518518518518517, 0,
-        {'rho': (630, 1800, 0)}),
+        0.1875, 0,
+        {'rho': (600, 1800, 0)}),
     'partial-corrupt-psync': (
         '86a365ef03676974566292ce0c012133588762619ec7107d28650f7568e73833',
-        0.18518518518518517, 0,
-        {'rho': (630, 1800, 0)}),
+        0.1875, 0,
+        {'rho': (600, 1800, 0)}),
     'partial-corrupt-sync': (
         '1f86fc91ba44073d2de6b19e2ed230f55c5f49084772b2983c705f0fb2f9d1ff',
-        0.18518518518518517, 0,
-        {'rho': (630, 1800, 0)}),
+        0.1875, 0,
+        {'rho': (600, 1800, 0)}),
     'partial-corrupt_random-psync': (
         '6e1b87846574c97dfebf2fbaa43e5b24a5f8a150ce0482874fdca226ffe81b1d',
         0.1875, 0,
@@ -361,6 +368,17 @@ def test_golden_adversary_run(name):
     assert _run_summary(name) == GOLDEN_RUNS[name]
 
 
+@pytest.mark.parametrize("name,lam", [("full", Fraction(1, 16)),
+                                      ("partial", Fraction(3, 16))])
+def test_replication_throughput_is_the_same_under_every_adversary(name,
+                                                                  lam):
+    # a faulty replica is charged what an honest one runs, never its lie
+    for adversary in ADVERSARIES:
+        for setting in ("sync", "psync"):
+            config = ExperimentConfig(**RUNS[f"{name}-{adversary}-{setting}"])
+            assert compute_metrics(run_experiment(config)).lam == lam
+
+
 def _witness(b, strategy, clause):
     return {"b": b, "placement": list(range(b)), "strategy": strategy,
             "clause": clause, "round": 0}
@@ -384,5 +402,6 @@ GOLDEN_SWEEPS = {
 @pytest.mark.parametrize("deployment", list(GOLDEN_SWEEPS))
 def test_golden_sweep_report(deployment):
     protocol, n, k, d, setting = deployment
-    report = sweep_security(protocol, n, k, degree=d, setting=setting)
+    report = sweep_security(ExperimentConfig(protocol, n, k, d,
+                                             setting=setting))
     assert report == GOLDEN_SWEEPS[deployment]

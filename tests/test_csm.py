@@ -14,6 +14,7 @@ from codedsm.csm import (
     encode_commands,
     encode_states,
     execute_local,
+    max_budget,
     max_machines,
     update_coded_states,
 )
@@ -262,6 +263,20 @@ def test_max_machines_respects_decoding_bound():
                     if k + 1 >= 1:
                         with pytest.raises(ConfigurationError):
                             check_budget(n, k + 1, d, num, setting)
+
+
+@pytest.mark.parametrize("setting", ["sync", "psync"])
+def test_max_budget_is_the_largest_budget_check_budget_accepts(setting):
+    for n in range(4, 16):
+        for k in (1, 2, 3):
+            for d in (1, 2):
+                b = max_budget(n, k, d, setting)
+                if b < 0:
+                    continue
+                check_budget(n, k, d, b, setting)
+                with pytest.raises(ConfigurationError,
+                                   match="decoding bound"):
+                    check_budget(n, k, d, b + 1, setting)
 
 
 def test_max_machines_rejects_bad_fractions():

@@ -1,22 +1,29 @@
 """Metrics, security sweep, and CLI tests."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
+from codedsm import harness, simnet
 from codedsm.field import ConfigurationError
 from codedsm.harness import (
     CSV_COLUMNS,
     CSV_SCHEMA,
     MetricsRecord,
     compute_metrics,
-    design_tolerance,
     read_csv,
     run_cli,
     sweep_security,
     write_csv,
 )
-from codedsm.simnet import EventLog, ExperimentConfig, run_experiment
+from codedsm.simnet import (
+    EventLog,
+    ExperimentConfig,
+    deployment,
+    derive_sizes,
+    run_experiment,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -24,14 +31,14 @@ from codedsm.simnet import EventLog, ExperimentConfig, run_experiment
 # ---------------------------------------------------------------------------
 
 def test_sweep_full_replication_breaks_past_minority():
-    report = sweep_security("full", 5, 3)
+    report = sweep_security(ExperimentConfig("full", 5, 3))
     assert report.beta == 2  # (5-1)//2
     assert report.witness["b"] == 3
     assert report.witness["clause"] in ("liveness", "correctness")
 
 
 def test_sweep_partial_replication_targeted_group():
-    report = sweep_security("partial", 6, 2)
+    report = sweep_security(ExperimentConfig("partial", 6, 2))
     assert report.beta == 1  # group size 3, (3-1)//2
     assert report.witness["b"] == 2
     # the witness concentrates faults inside one replica group
@@ -41,29 +48,43 @@ def test_sweep_partial_replication_targeted_group():
 
 
 def test_sweep_coded_matches_decoding_bound():
-    report = sweep_security("csm", 10, 3, degree=2)
+    report = sweep_security(ExperimentConfig("csm", 10, 3, 2))
     assert report.beta == 2  # 2b+1 <= 10 - 2*(3-1)
     assert report.witness["b"] == 3
 
 
 def test_sweep_is_deterministic():
-    a = sweep_security("csm", 8, 2, degree=2, seed=5)
-    b = sweep_security("csm", 8, 2, degree=2, seed=5)
+    a = sweep_security(ExperimentConfig("csm", 8, 2, 2, seed=5))
+    b = sweep_security(ExperimentConfig("csm", 8, 2, 2, seed=5))
     assert a == b
+
+
+@pytest.mark.parametrize("setting,beta", [("sync", 3), ("psync", 2)])
+def test_delegated_sweep_reports_the_direct_sweep(setting, beta):
+    direct = ExperimentConfig("csm", 8, 2, 1, setting=setting)
+    report = sweep_security(direct)
+    assert report.beta == beta
+    assert sweep_security(dataclasses.replace(direct, delegate=True)) == \
+        report
 
 
 def test_sweep_refuses_large_networks():
     with pytest.raises(ConfigurationError, match="20 nodes"):
-        sweep_security("full", 21, 1)
+        sweep_security(ExperimentConfig("full", 21, 1))
 
 
 def test_design_tolerance_formulas():
-    assert design_tolerance("full", 5, 3) == 2
-    assert design_tolerance("full", 12, 1) == 5
-    assert design_tolerance("partial", 12, 3) == 1
-    assert design_tolerance("partial", 12, 3, "psync") == 1
-    assert design_tolerance("full", 10, 1, "psync") == 3
-    assert design_tolerance("csm", 10, 3, b=2) == 2
+    def beta(protocol, n, k, setting="sync", b=0):
+        config = ExperimentConfig(protocol, n, k, setting=setting)
+        machine, k, _, _ = derive_sizes(config)
+        return deployment(config, machine, k, b).beta
+
+    assert beta("full", 5, 3) == 2
+    assert beta("full", 12, 1) == 5
+    assert beta("partial", 12, 3) == 1
+    assert beta("partial", 12, 3, "psync") == 1
+    assert beta("full", 10, 1, "psync") == 3
+    assert beta("csm", 10, 3, b=2) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +213,35 @@ def test_cli_sweep_beta_overrides_design_value(tmp_path):
     assert row["beta"] == "2"
 
 
+def test_cli_sweep_beta_sweeps_the_run_delegated_decoding(tmp_path,
+                                                          monkeypatch):
+    real = simnet.delegated_decode
+    in_sweep = []
+    calls = []
+
+    def sweep(*args, **kwargs):
+        in_sweep.append(True)
+        try:
+            return real_sweep(*args, **kwargs)
+        finally:
+            in_sweep.pop()
+
+    def decode(*args):
+        calls.append(bool(in_sweep))
+        return real(*args)
+
+    real_sweep = harness.sweep_security
+    monkeypatch.setattr(harness, "sweep_security", sweep)
+    monkeypatch.setattr(simnet, "delegated_decode", decode)
+    assert run_cli(["run", "--protocol", "csm", "--n", "8", "--k", "2",
+                    "--d", "1", "--delegate", "--rounds", "2",
+                    "--sweep-beta", "--out", str(tmp_path)]) == 0
+    assert calls.count(False) == 2   # the run's own rounds
+    assert True in calls
+    (row,) = read_csv(tmp_path / "metrics.csv")
+    assert row["beta"] == "3"
+
+
 def test_cli_sweep_beta_sweeps_the_run_field(tmp_path):
     # the bit-counter machine exists only over GF(2^m)
     code = run_cli(["run", "--protocol", "csm", "--machine", "boolcounter",
@@ -200,8 +250,8 @@ def test_cli_sweep_beta_sweeps_the_run_field(tmp_path):
     assert code == 0
     (row,) = read_csv(tmp_path / "metrics.csv")
     assert row["beta"] == "1"
-    report = sweep_security("csm", 12, 5, degree=2, machine="boolcounter",
-                            field_spec="binary:8")
+    report = sweep_security(ExperimentConfig(
+        "csm", 12, 5, 2, "boolcounter", "binary:8"))
     assert report.witness == {"b": 2, "placement": [0, 1],
                               "strategy": "withhold", "clause": "liveness",
                               "round": 0}

@@ -390,19 +390,21 @@ def test_p2p_decodes_every_receivers_view(monkeypatch):
     assert res.board.get(phase="psi").total() == sum(decodes)
 
 
+@pytest.mark.parametrize("adversary", ["withhold", "corrupt", "collude"])
 @pytest.mark.parametrize("protocol,n,group", [("full", 10, 10),
                                               ("partial", 9, 3)])
 def test_replicated_round_evaluates_each_transition_once(
-        monkeypatch, protocol, n, group):
+        monkeypatch, protocol, n, group, adversary):
     evals = _spy_costs(monkeypatch, TransitionFunction, "eval_all")
     res = run_experiment(ExperimentConfig(
         protocol=protocol, n_nodes=n, k_machines=3, machine="qmix",
-        b=1, adversary="withhold", rounds=3, seed=11))
+        b=1, adversary=adversary, rounds=3, seed=11))
     assert res.rounds_run == 3
     # K in the round and K in the uncounted ground truth, per round
     assert len(evals) == 3 * (3 + 3)
-    # each transition's count, charged once to every host (the silent
-    # faulty one too); evals holds it twice, from the round and the truth
+    # each transition's count, charged once to every host (the faulty one
+    # too, and nothing for its lie); evals holds it twice, from the round
+    # and the truth
     assert 2 * res.board.get(phase="rho").total() == group * sum(evals)
 
 
@@ -511,10 +513,10 @@ def test_sweep_and_experiment_play_the_same_round(monkeypatch):
     assert run_experiment(_cfg(rounds=2)).rounds_run == 2
     assert played == ["csm", "csm"]
     played.clear()
-    assert harness.sweep_security("csm", 6, 2).beta == 2
+    assert harness.sweep_security(ExperimentConfig("csm", 6, 2)).beta == 2
     assert played and set(played) == {"csm"}
     played.clear()
-    assert harness.sweep_security("full", 5, 3).beta == 2
+    assert harness.sweep_security(ExperimentConfig("full", 5, 3)).beta == 2
     assert played and set(played) == {"full"}
 
 
@@ -528,7 +530,8 @@ def test_psync_sweep_decodes_from_the_first_arrivals(monkeypatch):
 
     monkeypatch.setattr(simnet, "decode_round", spy)
     # N=9, K=2, d=1 under psync: the decoding budget is b = 2
-    assert harness.sweep_security("csm", 9, 2, setting="psync").beta == 2
+    assert harness.sweep_security(
+        ExperimentConfig("csm", 9, 2, setting="psync")).beta == 2
     assert present and max(present) <= 9 - 2
 
 
