@@ -69,17 +69,16 @@ def max_budget(n_nodes: int, k_machines: int, degree: int,
 
 def check_budget(n_nodes: int, k_machines: int, degree: int, b: int,
                  setting: str) -> None:
-    """Enforce the decoding, consensus, and delivery bounds for b faults."""
+    """Enforce the decoding bound for b faults. It implies the consensus
+    bound (b+1 <= N under sync, 3b+1 <= N under psync) and the output
+    delivery bound 2b+1 <= N: with K >= 1 and r = `resilience` >= 2,
+    r*b+1 <= N-d(K-1) <= N."""
     if b < 0:
         raise ConfigurationError("fault budget must be nonnegative")
     if b > max_budget(n_nodes, k_machines, degree, setting):
         raise ConfigurationError(
             f"decoding bound violated: {resilience(setting)}*{b}+1 > "
             f"{n_nodes}-{degree * (k_machines - 1)}")
-    if (b + 1 if setting == "sync" else 3 * b + 1) > n_nodes:
-        raise ConfigurationError("consensus bound violated")
-    if 2 * b + 1 > n_nodes:
-        raise ConfigurationError("output-delivery bound violated")
 
 
 @dataclass(frozen=True)
@@ -102,12 +101,7 @@ class CodingConfig:
 
     @staticmethod
     def make(machine: TransitionFunction, k_machines: int, n_nodes: int,
-             setting: str = "sync", fault_fraction=None,
-             b: int | None = None) -> "CodingConfig":
-        if b is None:
-            frac = _as_fraction(fault_fraction if fault_fraction is not None
-                                else 0)
-            b = int(frac * n_nodes)
+             setting: str, b: int) -> "CodingConfig":
         domain = EvalDomain.default(machine.field, k_machines, n_nodes)
         return CodingConfig(machine.field, machine, domain, setting, b)
 

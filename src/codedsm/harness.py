@@ -19,11 +19,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .csm import max_budget, max_machines
+from .csm import max_budget
 from .field import ConfigurationError, CounterBoard, uncounted
 from .simnet import (
     CONFIG_KEYS,
-    PROTOCOLS,
     AdversaryModel,
     EventLog,
     ExperimentConfig,
@@ -177,6 +176,25 @@ def sweep_security(config: ExperimentConfig) -> SweepReport:
 # command line
 # ---------------------------------------------------------------------------
 
+# What a sweep deployment (protocol:N:K[:d]) spells, so not a sweep flag.
+DEPLOYMENT_KEYS = ("protocol", "n", "k", "d")
+
+
+def _parse_deployment(text: str) -> dict:
+    """The `ExperimentConfig` fields a ``protocol:N:K[:d]`` deployment
+    spells. Without d, the degree is the config file's or the machine's."""
+    parts = text.split(":")
+    if not 3 <= len(parts) <= len(DEPLOYMENT_KEYS):
+        raise argparse.ArgumentTypeError(
+            f"expected protocol:N:K[:d], got {text!r}")
+    keys = {c.key: c for c in CONFIG_KEYS}
+    try:
+        return {keys[key].field: keys[key].value(part, text)
+                for key, part in zip(DEPLOYMENT_KEYS, parts)}
+    except ConfigurationError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="codedsm",
@@ -184,44 +202,60 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     run = sub.add_parser("run", help="simulate and write metrics")
     which = run.add_mutually_exclusive_group()
+    which.add_argument("--compare", metavar="P1,P2,...",
+                       help="comma-separated protocols, one CSV row each")
+    sweep = sub.add_parser(
+        "sweep", help="find each deployment's breaking fault count by "
+                      "exhaustive attack (N <= 20)")
+    sweep.add_argument("deployments", nargs="+", type=_parse_deployment,
+                       metavar="protocol:N:K[:d]")
     for c in CONFIG_KEYS:
         # a bare boolean flag (--delegate) means true
         bare = {"nargs": "?", "const": "true"} if c.read is read_bool else {}
         (which if c.key == "protocol" else run).add_argument(
             c.flag, dest=c.key, help=c.help, **bare)
-    which.add_argument("--compare", metavar="P1,P2,...",
-                       help="comma-separated protocols, one CSV row each")
+        if c.key not in DEPLOYMENT_KEYS:
+            sweep.add_argument(c.flag, dest=c.key, help=c.help, **bare)
+    for p in (run, sweep):
+        p.add_argument("--config", type=Path,
+                       help="key=value experiment file; given flags override")
     run.add_argument("--sweep-beta", action="store_true",
                      help="search for the breaking fault count (N <= 20)")
-    run.add_argument("--config", type=Path,
-                     help="key=value experiment file; given flags override")
     run.add_argument("--out", type=Path, required=True,
                      help="output directory for CSV and logs")
     return parser
 
 
-def _config_from_args(args, protocol: str) -> ExperimentConfig:
-    """The config file's settings, then every flag that was given."""
+def _config_from_args(args, **fields) -> ExperimentConfig:
+    """The config file's settings, then every flag that was given, then
+    ``fields``."""
     given = {c.field: c.value(v, c.flag) for c in CONFIG_KEYS
-             if (v := getattr(args, c.key)) is not None}
-    given["protocol"] = protocol
+             if (v := getattr(args, c.key, None)) is not None}
+    given.update(fields)
     if args.config is not None:
         return dataclasses.replace(ExperimentConfig.from_file(args.config),
                                    **given)
-    if "n_nodes" not in given:
-        raise ConfigurationError("--n is required without --config")
+    if not {"protocol", "n_nodes"} <= given.keys():
+        raise ConfigurationError(
+            "--protocol (or --compare) and --n are required without --config")
     return ExperimentConfig(**given)
 
 
-def _compare_k(cfg: ExperimentConfig, machine_degree: int) -> int:
-    """K per protocol in a comparison row: replication keeps the requested
-    K, the coded run takes everything its capacity formula allows. With no
-    request, replication matches the coded K so rows share a workload."""
-    capacity = max_machines(cfg.n_nodes, cfg.fault_fraction,
-                            machine_degree, cfg.setting)
-    if cfg.protocol == "csm" or cfg.k_machines is None:
-        return capacity
-    return cfg.k_machines
+def _run_configs(args) -> list[ExperimentConfig]:
+    """The run's config, or one per ``--compare`` protocol. A comparison
+    sizes its coded K as a csm run does, from the budget b, and each
+    replication row without a K takes that K, so the rows share a
+    workload."""
+    if args.compare is None:
+        return [_config_from_args(args)]
+    configs = []
+    for protocol in args.compare.split(","):
+        cfg = _config_from_args(args, protocol=protocol.strip())
+        if cfg.protocol == "csm" or cfg.k_machines is None:
+            coded = dataclasses.replace(cfg, protocol="csm", k_machines=None)
+            cfg = dataclasses.replace(cfg, k_machines=derive_sizes(coded)[1])
+        configs.append(cfg)
+    return configs
 
 
 def write_csv(path: Path, records: list[MetricsRecord]) -> None:
@@ -237,45 +271,53 @@ def read_csv(path: Path) -> list[dict]:
     return [dict(zip(header, ln.split(","))) for ln in lines[1:]]
 
 
+def _sweep_cli(parser, args) -> int:
+    """Print each deployment's measured tolerance and its witness."""
+    for fields in args.deployments:
+        try:
+            cfg = _config_from_args(args, **fields)
+            d = derive_sizes(cfg)[3]
+            report = sweep_security(cfg)
+        except ConfigurationError as exc:
+            parser.error(str(exc))
+        print(f"{cfg.protocol} N={cfg.n_nodes} K={cfg.k_machines} d={d}: "
+              f"beta = {report.beta}")
+        if report.witness:
+            w = report.witness
+            print(f"  broken at b={w['b']} by {w['strategy']} on nodes "
+                  f"{w['placement']} ({w['clause']})")
+        else:
+            print("  no violating run found up to b = N")
+    return 0
+
+
 def run_cli(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.protocol:
-        protocols = [args.protocol]
-    elif args.compare:
-        protocols = [p.strip() for p in args.compare.split(",")]
-    elif args.config is not None:
-        try:
-            protocols = [ExperimentConfig.from_file(args.config).protocol]
-        except ConfigurationError as exc:
-            parser.error(str(exc))
-    else:
-        parser.error("one of the arguments --protocol --compare is required")
-    for p in protocols:
-        if p not in PROTOCOLS:
-            parser.error(f"unknown protocol {p!r}")
+    if args.command == "sweep":
+        return _sweep_cli(parser, args)
+    try:
+        configs = _run_configs(args)
+    except ConfigurationError as exc:
+        parser.error(str(exc))
 
     out: Path = args.out
     out.mkdir(parents=True, exist_ok=True)
     records: list[MetricsRecord] = []
     failures = 0
-    for protocol in protocols:
+    for cfg in configs:
         try:
-            cfg = _config_from_args(args, protocol)
-            if args.compare is not None:
-                k = _compare_k(cfg, derive_sizes(cfg)[3])
-                cfg = dataclasses.replace(cfg, k_machines=k)
             result = run_experiment(cfg)
             beta = sweep_security(cfg).beta if args.sweep_beta else None
             rec = compute_metrics(result, beta=beta)
         except ConfigurationError as exc:
             parser.error(str(exc))
         records.append(rec)
-        log_name = f"{protocol}_n{cfg.n_nodes}_seed{cfg.seed}.jsonl"
+        log_name = f"{cfg.protocol}_n{cfg.n_nodes}_seed{cfg.seed}.jsonl"
         result.log.write(out / log_name)
         status = "ok" if rec.valid else \
             f"VIOLATED ({rec.violations} flagged)"
-        print(f"{protocol}: N={rec.n_nodes} K={rec.k_machines} "
+        print(f"{cfg.protocol}: N={rec.n_nodes} K={rec.k_machines} "
               f"beta={rec.beta} gamma={rec.gamma} lambda={rec.lam:.6g} "
               f"[{status}] -> {out / log_name}")
         if not rec.valid:
@@ -287,7 +329,3 @@ def run_cli(argv=None) -> int:
 
 def main(argv=None) -> None:
     sys.exit(run_cli(argv))
-
-
-if __name__ == "__main__":
-    main()

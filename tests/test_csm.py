@@ -279,6 +279,17 @@ def test_max_budget_is_the_largest_budget_check_budget_accepts(setting):
                     check_budget(n, k, d, b + 1, setting)
 
 
+@pytest.mark.parametrize("setting", ["sync", "psync"])
+def test_decoding_bound_implies_consensus_and_delivery_bounds(setting):
+    # why check_budget tests the decoding bound alone
+    for n in range(1, 40):
+        for k in range(1, n + 1):
+            for d in (1, 2, 3):
+                for b in range(max_budget(n, k, d, setting) + 1):
+                    assert (b + 1 if setting == "sync" else 3 * b + 1) <= n
+                    assert 2 * b + 1 <= n
+
+
 def test_max_machines_rejects_bad_fractions():
     with pytest.raises(ConfigurationError):
         max_machines(10, 0.5, 1, "sync")

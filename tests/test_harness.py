@@ -1,7 +1,12 @@
 """Metrics, security sweep, and CLI tests."""
 
+import argparse
 import dataclasses
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +16,7 @@ from codedsm.harness import (
     CSV_COLUMNS,
     CSV_SCHEMA,
     MetricsRecord,
+    build_parser,
     compute_metrics,
     read_csv,
     run_cli,
@@ -18,12 +24,15 @@ from codedsm.harness import (
     write_csv,
 )
 from codedsm.simnet import (
+    CONFIG_KEYS,
     EventLog,
     ExperimentConfig,
     deployment,
     derive_sizes,
     run_experiment,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +185,24 @@ def test_cli_comparison_reproduces_storage_table(tmp_path):
     assert (rows["partial"]["gamma"], rows["partial"]["beta"]) == ("3", "1")
     assert (rows["csm"]["gamma"], rows["csm"]["beta"]) == ("6", "3")
     assert rows["csm"]["K"] == "6"
+
+
+@pytest.mark.parametrize("flags", [["--n", "12", "--b", "3"],
+                                   ["--n", "10", "--mu", "1/4"]])
+def test_cli_comparison_sizes_coded_k_as_a_csm_run(tmp_path, flags):
+    # one sizing rule: the coded row is the csm run with the same flags
+    flags = [*flags, "--d", "1", "--rounds", "2"]
+    assert run_cli(["run", "--compare", "full,csm", *flags,
+                    "--out", str(tmp_path / "c")]) == 0
+    assert run_cli(["run", "--protocol", "csm", *flags,
+                    "--out", str(tmp_path / "p")]) == 0
+    rows = {r["protocol"]: r for r in read_csv(tmp_path / "c" / "metrics.csv")}
+    (alone,) = read_csv(tmp_path / "p" / "metrics.csv")
+    assert rows["csm"] == alone
+    assert rows["full"]["K"] == alone["K"] == "6"
+    log = f"csm_n{flags[1]}_seed0.jsonl"
+    assert (tmp_path / "c" / log).read_bytes() == \
+        (tmp_path / "p" / log).read_bytes()
 
 
 def test_cli_usage_errors(tmp_path):
@@ -357,3 +384,51 @@ def test_cli_refuses_fault_budget_outside_node_count(tmp_path, flags):
         run_cli(["run", "--protocol", "full", "--n", "10", *flags,
                  "--out", str(tmp_path)])
     assert exc.value.code == 2
+
+
+def test_security_sweep_reports_breaking_points():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "codedsm", "sweep", "full:5:3", "partial:6:2",
+         "csm:10:3:2"], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0 and not proc.stderr, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "full N=5 K=3 d=1: beta = 2",
+        "  broken at b=3 by withhold on nodes [0, 1, 2] (liveness)",
+        "partial N=6 K=2 d=1: beta = 1",
+        "  broken at b=2 by withhold on nodes [0, 1] (liveness)",
+        "csm N=10 K=3 d=2: beta = 2",
+        "  broken at b=3 by withhold on nodes [0, 1, 2] (liveness)",
+    ]
+
+
+def test_sweep_takes_the_field_and_machine_flags(capsys):
+    assert run_cli(["sweep", "--field", "binary:8", "--machine",
+                    "boolcounter", "csm:12:5"]) == 0
+    report = sweep_security(ExperimentConfig(
+        "csm", 12, 5, machine="boolcounter", field_spec="binary:8"))
+    w = report.witness
+    assert capsys.readouterr().out.splitlines() == [
+        f"csm N=12 K=5 d=2: beta = {report.beta}",
+        f"  broken at b={w['b']} by {w['strategy']} on nodes "
+        f"{w['placement']} ({w['clause']})",
+    ]
+
+
+@pytest.mark.parametrize("deployment", ["csm:10", "csm:ten:3", "full:21:1"])
+def test_sweep_refuses_bad_deployments(deployment):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["sweep", deployment])
+    assert exc.value.code == 2
+
+
+def test_run_and_sweep_take_the_same_config_flags():
+    (sub,) = [a for a in build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    flags = {name: {f for a in p._actions for f in a.option_strings}
+             for name, p in sub.choices.items()}
+    keys = {c.flag for c in CONFIG_KEYS}
+    spelled = {"--protocol", "--n", "--k", "--d"}
+    assert flags["sweep"] == keys - spelled | {"--config", "-h", "--help"}
+    assert flags["run"] == flags["sweep"] | spelled | {
+        "--compare", "--sweep-beta", "--out"}

@@ -365,7 +365,7 @@ def test_power_rows_table():
 
 def fresh_cfg(k=3, n=12, fraction=0.25):
     return CodingConfig.make(product_machine(PrimeField((1 << 31) - 1)),
-                             k, n, "sync", fraction)
+                             k, n, "sync", b=int(fraction * n))
 
 
 def run_one_round(cfg, rng):
@@ -510,7 +510,7 @@ def test_fabricated_decode_claims_rejected():
 
 def test_delegated_single_machine_edge():
     cfg = CodingConfig.make(product_machine(PrimeField((1 << 31) - 1)),
-                            1, 4, "sync", 0.25)
+                            1, 4, "sync", b=1)
     rng = random.Random(35)
     _, _, g = run_one_round(cfg, rng)
     g[2] = tuple(cfg.field.add(v, 9) for v in g[2])

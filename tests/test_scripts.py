@@ -15,20 +15,6 @@ def _script(name, *args):
         capture_output=True, text=True, timeout=120)
 
 
-def test_security_sweep_reports_breaking_points():
-    proc = _script("security_sweep.py", "full:5:3", "partial:6:2",
-                   "csm:10:3:2")
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == [
-        "full N=5 K=3 d=1: beta = 2",
-        "  broken at b=3 by withhold on nodes [0, 1, 2] (liveness)",
-        "partial N=6 K=2 d=1: beta = 1",
-        "  broken at b=2 by withhold on nodes [0, 1] (liveness)",
-        "csm N=10 K=3 d=2: beta = 2",
-        "  broken at b=3 by withhold on nodes [0, 1, 2] (liveness)",
-    ]
-
-
 def test_throughput_trend_prints_one_row_per_size():
     proc = _script("throughput_trend.py", "--sizes", "16", "--rounds", "1")
     assert proc.returncode == 0, proc.stderr
