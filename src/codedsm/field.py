@@ -19,7 +19,9 @@ in each field's ``kernels``.  The field picks them once, at construction:
   counted operations.  It is also the reference the other must match.
 - `PrimeKernels` for every prime: the polynomial kernels run on raw ints,
   and matrix-vector products and naive interpolation on numpy arrays
-  (int64 when p^2 < 2^63, Python ints otherwise).
+  (int64 when p^2 < 2^63, Python ints otherwise).  In int64 the
+  subproduct tree's interpolation combine also runs on numpy, through
+  quotient blocks of COMBINE_BASE points cached with the tree.
 
 Both backends charge the same count for the same kernel call: what the
 loops count for those operands.  The kernels also keep the bounded caches
@@ -152,6 +154,7 @@ TABLE_CACHE_SIZE = 256
 POINT_SET_CACHE_SIZE = 32
 SCHOOLBOOK_MAX = 16   # polymul multiplies directly up to this len(a) * len(b)
 KARATSUBA_BASE = 8   # sizes at or below this multiply schoolbook-style
+COMBINE_BASE = 128   # points per int64 block of PrimeKernels.combine (a power of 2)
 
 
 class Memo:
@@ -350,6 +353,29 @@ class LoopKernels:
                 out[j] = f.add(out[j], f.mul(w, c))
         return out
 
+    def combine(self, tree, ws) -> list[int]:
+        """sum_i w_i * prod_{j != i} (z - x_j) over a subproduct tree.
+
+        Built bottom-up over ``tree.levels``, whose level 0 holds the
+        leaves (z - x_i): each pair of nodes makes two Karatsuba cross
+        products and their sum, and an unpaired trailing node carries its
+        polynomial up.
+        """
+        return self._combine_up(tree.levels, [[w] for w in ws])
+
+    def _combine_up(self, levels, cur) -> list[int]:
+        # cur holds one polynomial per node of levels[0]
+        for nodes in levels[:-1]:
+            nxt = []
+            for i in range(0, len(nodes) - 1, 2):
+                left = self.mul_karatsuba(cur[i], nodes[i + 1])
+                right = self.mul_karatsuba(cur[i + 1], nodes[i])
+                nxt.append(self.add(left, right))
+            if len(nodes) % 2:
+                nxt.append(cur[-1])
+            cur = nxt
+        return cur[0]
+
     # -- matrix-vector product ---------------------------------------------
 
     def matvec(self, matrix, vector) -> tuple[int, ...]:
@@ -393,6 +419,31 @@ def _kar_ops(la: int, lb: int) -> tuple[int, int]:
     return adds + sum(a for a, _ in parts), sum(m for _, m in parts)
 
 
+@lru_cache(maxsize=1 << 10)
+def _combine_ops(n: int) -> tuple[int, int]:
+    """The (adds, muls) `LoopKernels.combine` makes on a tree of n points.
+
+    A node over s points carries a polynomial of s coefficients and is
+    itself one of s + 1, so the tree's shape, which n fixes, fixes every
+    operand's length: a pair charges its two cross products and one add
+    per coefficient of their sum.
+    """
+    adds = muls = 0
+    sizes = [1] * n
+    while len(sizes) > 1:
+        nxt = []
+        for s, t in zip(sizes[::2], sizes[1::2]):
+            for la, lb in ((s, t + 1), (t, s + 1)):
+                a, m = _kar_ops(la, lb)
+                adds, muls = adds + a, muls + m
+            adds += s + t
+            nxt.append(s + t)
+        if len(sizes) % 2:
+            nxt.append(sizes[-1])
+        sizes = nxt
+    return adds, muls
+
+
 class PrimeKernels(LoopKernels):
     """The kernels on raw ints and numpy arrays mod p, charged in bulk.
 
@@ -405,6 +456,8 @@ class PrimeKernels(LoopKernels):
     Python-int operation per element plus numpy's dispatch, so for
     p^2 >= 2^63 they are slower than a raw-int loop would be; they are
     kept as the one code path because no workload uses such a prime.
+    `combine` is the exception: in ``object`` its dense products lose to
+    the loop, so it runs numpy only in int64.
     """
 
     def __init__(self, field: "PrimeField"):
@@ -515,11 +568,7 @@ class PrimeKernels(LoopKernels):
             return []
         p, dt = self.p, self.dtype
         x = np.array(xs, dtype=dt)
-        q = np.zeros((n, n), dtype=dt)
-        acc = np.zeros(n, dtype=dt)
-        for j in range(n, 0, -1):
-            acc = (master[j] + acc * x) % p
-            q[:, j - 1] = acc
+        q = self._quotients(master, xs)
         h = np.zeros(n, dtype=dt)
         for j in range(n - 1, -1, -1):
             h = (h * x + q[:, j]) % p
@@ -529,6 +578,48 @@ class PrimeKernels(LoopKernels):
         out = (w[:, None] * q % p).sum(axis=0) % p
         charge(adds=3 * n * n, muls=n * (3 * n + 1), invs=n)
         return [int(c) for c in out]
+
+    def combine(self, tree, ws) -> list[int]:
+        """`LoopKernels.combine`'s values, charged `_combine_ops`.
+
+        In int64 the tree's nodes over COMBINE_BASE points (or its root,
+        if smaller) are blocks: a block's polynomial is one product
+        sum_i w_i * q_i with q_i = node / (z - x_i).  Each block's
+        quotient rows are built once per tree, uncounted, and kept on it
+        in ``tree.quotients``; the levels above the blocks finish with
+        uncounted products.  A block holds at most COMBINE_BASE^2 int64s,
+        1 KB per point; one dense matrix over every point would lose to
+        the tree's products as the points grow.
+        """
+        if self.dtype is object:
+            return super().combine(tree, ws)
+        charge(*_combine_ops(len(ws)))
+        base = min(COMBINE_BASE.bit_length() - 1, len(tree.levels) - 1)
+        if tree.quotients is None:
+            size = 1 << base
+            tree.quotients = [
+                self._quotients(node, tree.xs[j * size:(j + 1) * size])
+                for j, node in enumerate(tree.levels[base])]
+        p, start, cur = self.p, 0, []
+        w = np.array(ws, dtype=np.int64)
+        for q in tree.quotients:
+            block = w[start:start + len(q)]
+            start += len(q)
+            # a column sums len(q) reduced products, below len(q) * p
+            cur.append(((block[:, None] * q % p).sum(axis=0) % p).tolist())
+        with uncounted():
+            return self._combine_up(tree.levels[base:], cur)
+
+    def _quotients(self, node, xs) -> np.ndarray:
+        # row i is node / (z - x_i), by synthetic division from the top
+        p, n, dt = self.p, len(xs), self.dtype
+        x = np.array(xs, dtype=dt)
+        q = np.zeros((n, n), dtype=dt)
+        acc = np.zeros(n, dtype=dt)
+        for j in range(n, 0, -1):
+            acc = (node[j] + acc * x) % p
+            q[:, j - 1] = acc
+        return q
 
 
 # ---------------------------------------------------------------------------

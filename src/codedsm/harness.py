@@ -233,8 +233,7 @@ def _config_from_args(args, **fields) -> ExperimentConfig:
              if (v := getattr(args, c.key, None)) is not None}
     given.update(fields)
     if args.config is not None:
-        return dataclasses.replace(ExperimentConfig.from_file(args.config),
-                                   **given)
+        return ExperimentConfig.from_file(args.config, **given)
     if not {"protocol", "n_nodes"} <= given.keys():
         raise ConfigurationError(
             "--protocol (or --compare) and --n are required without --config")

@@ -19,19 +19,26 @@ Values and counts come apart:
 
 - The coefficient-list arithmetic (sum, difference, schoolbook and
   Karatsuba products, Horner evaluation, long division, the linear
-  remainder and naive interpolation) lives in ``field.kernels``; this
-  module has one code path over any field.  Over a prime field the
-  kernels run on raw ints and each product is one exact bulk multiply;
-  over GF(2^m) they call the field's counted operations one at a time.
+  remainder, naive interpolation and the subproduct tree's interpolation
+  combine) lives in ``field.kernels``; this module has one code path
+  over any field.  Over a prime field the kernels run on raw ints and
+  each product is one exact bulk multiply; over GF(2^m) they call the
+  field's counted operations one at a time.
 - Counts are the modelled algorithm's: the schoolbook or Karatsuba
-  product, the Newton series division, the Horner step.  They follow from
-  the operands' lengths (and, in long division, from which quotient terms
-  vanish), so the prime kernels `charge()` them in bulk and every backend
-  charges the same numbers for the same operands.
+  product, the Newton series division, the Horner step, the combine's
+  pairwise products.  They follow from the operands' lengths (and, in
+  long division, from which quotient terms vanish), so the prime kernels
+  `charge()` them in bulk and every backend charges the same numbers for
+  the same operands.  The combine's operand lengths follow from the
+  tree's shape alone, so over an int64 prime its values come from numpy
+  sums over quotient blocks cached with the tree, not from the products
+  it is charged for.
 - Public per-point-set work (a point set's subproduct tree, its inverted
   derivative weights and each tree node's series inverses) is cached per
   field and charged on every use exactly what its first build counted.
-  A cache hit saves time and changes no count.
+  A cache hit saves time and changes no count.  The combine's quotient
+  blocks are no step of the modelled algorithm, so they are never
+  charged.
 """
 
 from __future__ import annotations
@@ -108,6 +115,8 @@ class SubproductTree:
             self.levels.append(level)
         # room for each node's series inverse at a few precisions
         self._memo = Memo(8 * len(self.xs) + 8)
+        # `PrimeKernels.combine`'s quotient blocks, built on first use
+        self.quotients = None
 
     @property
     def root(self) -> list[int]:
@@ -147,20 +156,14 @@ class SubproductTree:
             f.inv(d) for d in self.remainders(_deriv(self.root, f))))
 
     def combine(self, ws: Sequence[int]) -> list[int]:
-        """Build sum_i w_i * prod_{j != i} (z - x_j) bottom-up."""
-        kern = self.field.kernels
-        cur: list[list[int]] = [[w] for w in ws]
-        for lev in range(len(self.levels) - 1):
-            nodes = self.levels[lev]
-            nxt = []
-            for i in range(0, len(nodes) - 1, 2):
-                left = kern.mul_karatsuba(cur[i], nodes[i + 1])
-                right = kern.mul_karatsuba(cur[i + 1], nodes[i])
-                nxt.append(kern.add(left, right))
-            if len(nodes) % 2:
-                nxt.append(cur[-1])
-            cur = nxt
-        return cur[0]
+        """sum_i w_i * prod_{j != i} (z - x_j), from the leaves up.
+
+        Charged as `LoopKernels.combine` counts it: two Karatsuba cross
+        products and one sum per pair of nodes, which the tree's shape
+        alone fixes.  Over an int64 prime the values come from the
+        tree's cached quotient blocks (`PrimeKernels.combine`).
+        """
+        return self.field.kernels.combine(self, ws)
 
 
 def _tree(xs: Sequence[int], f: Field) -> SubproductTree:

@@ -392,7 +392,8 @@ class ExperimentConfig:
         return "\n".join(lines) + "\n"
 
     @staticmethod
-    def parse(text: str) -> "ExperimentConfig":
+    def parse(text: str, **fields) -> "ExperimentConfig":
+        """The config that ``text`` describes, with ``fields`` over it."""
         kv = {}
         for lineno, raw in enumerate(text.splitlines(), 1):
             line = raw.split("#", 1)[0].strip()
@@ -408,20 +409,21 @@ class ExperimentConfig:
         if unknown:
             raise ConfigurationError(
                 f"unknown config keys: {sorted(unknown)}")
-        if "protocol" not in kv or "n" not in kv:
+        merged = {by_key[key].field: by_key[key].value(val, f"line {lineno}")
+                  for key, (lineno, val) in kv.items()}
+        merged.update(fields)
+        if not {"protocol", "n_nodes"} <= merged.keys():
             raise ConfigurationError("config needs protocol and n")
-        return ExperimentConfig(**{
-            by_key[key].field: by_key[key].value(val, f"line {lineno}")
-            for key, (lineno, val) in kv.items()})
+        return ExperimentConfig(**merged)
 
     @staticmethod
-    def from_file(path) -> "ExperimentConfig":
+    def from_file(path, **fields) -> "ExperimentConfig":
         try:
             with open(path) as fh:
                 text = fh.read()
         except (OSError, ValueError) as exc:
             raise ConfigurationError(f"cannot read {path}: {exc}") from None
-        return ExperimentConfig.parse(text)
+        return ExperimentConfig.parse(text, **fields)
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,11 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from codedsm.field import (
+    COMBINE_BASE,
     REDUCTION_POLYS,
     BinaryField,
     ConfigurationError,
@@ -20,7 +21,7 @@ from codedsm.field import (
     counting,
     parse_field,
 )
-from codedsm.poly import DensePoly
+from codedsm.poly import DensePoly, SubproductTree
 
 F11 = PrimeField(11)
 FBIG = PrimeField((1 << 31) - 1)
@@ -341,6 +342,29 @@ def test_int64_lagrange_matches_loop_kernels(data, n, p):
     assert _values_and_counts(
         lambda: fld.kernels.lagrange(master, xs, ys)) == (expected, want)
     assert [loop.horner(expected, x) for x in xs] == ys
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 300), seed=st.integers(0, 1 << 30),
+       p=st.sampled_from(BULK_PRIMES + [3037000493]))
+@example(n=COMBINE_BASE, seed=1, p=(1 << 31) - 1)
+@example(n=2 * COMBINE_BASE, seed=2, p=3037000493)
+@example(n=300, seed=3, p=(1 << 31) - 1)
+@example(n=300, seed=4, p=(1 << 61) - 1)
+def test_int64_combine_matches_loop_kernels(n, seed, p):
+    # one block, several, and a trailing partial one, cold and then warm;
+    # 3037000493 is the largest int64 prime, and above it the object
+    # dtype keeps the loop.  Every weight at p - 1 is the widest sum.
+    fld = PrimeField(p)
+    rng = random.Random(seed)
+    xs = rng.sample(range(p), min(n, p))
+    pick = (lambda: p - 1) if seed % 3 == 0 else (lambda: rng.randrange(p))
+    ws = [pick() for _ in xs]
+    tree = SubproductTree(xs, fld)
+    want = _values_and_counts(lambda: LoopKernels(fld).combine(tree, ws))
+    for _ in range(2):
+        assert _values_and_counts(
+            lambda: fld.kernels.combine(tree, ws)) == want
 
 
 def test_table_arrays_are_kept_per_dtype():

@@ -415,6 +415,20 @@ def test_sweep_takes_the_field_and_machine_flags(capsys):
     ]
 
 
+def test_sweep_config_file_needs_no_protocol_or_n(tmp_path, capsys):
+    # every deployment spells protocol and N, so the file need not
+    path = tmp_path / "seed.cfg"
+    path.write_text("seed = 3\n")
+    assert run_cli(["sweep", "--config", str(path), "csm:8:2"]) == 0
+    from_file = capsys.readouterr().out
+    assert run_cli(["sweep", "--seed", "3", "csm:8:2"]) == 0
+    assert capsys.readouterr().out == from_file
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["run", "--config", str(path), "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "protocol and n" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("deployment", ["csm:10", "csm:ten:3", "full:21:1"])
 def test_sweep_refuses_bad_deployments(deployment):
     with pytest.raises(SystemExit) as exc:

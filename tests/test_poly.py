@@ -12,6 +12,7 @@ from codedsm.field import (
     ConfigurationError,
     OpCounter,
     PrimeField,
+    PrimeKernels,
     counting,
 )
 from codedsm.poly import (
@@ -204,6 +205,27 @@ def test_subproduct_tree_root():
         expect = expect * DensePoly(F11, [F11.neg(x), 1])
     assert list(tree.root) == list(expect.coeffs)
     assert vanishing(xs, F11, "naive") == vanishing(xs, F11, "fast") == expect
+
+
+@pytest.mark.parametrize("n,blocks,above", [(96, 1, 0), (300, 3, 4)])
+def test_warm_interpolation_multiplies_only_above_the_blocks(
+        monkeypatch, n, blocks, above):
+    # 300 points make blocks of 128, 128 and 44 points, and two pairs
+    # above them, each of two products; 96 points are one block
+    calls = {"polymul": 0, "_quotients": 0}
+    for name in calls:
+        def spy(self, *args, _name=name, _real=getattr(PrimeKernels, name)):
+            calls[_name] += 1
+            return _real(self, *args)
+        monkeypatch.setattr(PrimeKernels, name, spy)
+    f = PrimeField((1 << 31) - 1)
+    rng = random.Random(n)
+    xs = rng.sample(range(1, f.order), n)
+    interpolate([(x, f.rand(rng)) for x in xs], f, "fast")
+    assert calls["_quotients"] == blocks
+    calls.update(polymul=0, _quotients=0)
+    interpolate([(x, f.rand(rng)) for x in xs], f, "fast")
+    assert calls == {"polymul": above, "_quotients": 0}
 
 
 # ---------------------------------------------------------------------------
