@@ -5,8 +5,9 @@ largest Byzantine head count the run tolerates, storage efficiency is how
 many machine-states' worth of useful data one node-state's worth of
 storage carries, and throughput is machines advanced per field operation
 per node. The CLI drives seeded simulations and writes one CSV row per
-run; a sweep mode searches for the actual breaking point instead of
-quoting the design value.
+run; a scale mode plays the same runs at several node counts, and a
+sweep mode searches for the actual breaking point instead of quoting the
+design value.
 """
 
 from __future__ import annotations
@@ -98,7 +99,7 @@ def compute_metrics(result: ExperimentResult,
     if beta is None:
         beta = layout.beta
     return MetricsRecord(cfg.protocol, n, k, layout.machine.total_degree(),
-                         cfg.fault_fraction, cfg.setting, beta, gamma, lam,
+                         cfg.fault_share, cfg.setting, beta, gamma, lam,
                          ops["rho"], ops["psi"], ops["chi"], cfg.seed,
                          len(result.violations), result.ok)
 
@@ -178,6 +179,9 @@ def sweep_security(config: ExperimentConfig) -> SweepReport:
 
 # What a sweep deployment (protocol:N:K[:d]) spells, so not a sweep flag.
 DEPLOYMENT_KEYS = ("protocol", "n", "k", "d")
+# Not sweep flags either: the sweep places its own faults, plays its own
+# catalog for SWEEP_ROUNDS trials, and its deployment's K needs no budget.
+SWEEP_UNREAD_KEYS = ("mu", "b", "adversary", "rounds")
 
 
 def _parse_deployment(text: str) -> dict:
@@ -195,34 +199,45 @@ def _parse_deployment(text: str) -> dict:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _add_config_flags(parser, skip=(), which=None) -> None:
+    """``--config`` and a flag for each `CONFIG_KEYS` setting not in
+    ``skip``; ``--protocol`` goes in the group ``which``."""
+    for c in CONFIG_KEYS:
+        if c.key in skip:
+            continue
+        # a bare boolean flag (--delegate) means true
+        bare = {"nargs": "?", "const": "true"} if c.read is read_bool else {}
+        (which if c.key == "protocol" else parser).add_argument(
+            c.flag, dest=c.key, help=c.help, **bare)
+    parser.add_argument("--config", type=Path,
+                        help="key=value experiment file; given flags override")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="codedsm",
         description="Run coded and replicated state machine experiments.")
     sub = parser.add_subparsers(dest="command", required=True)
     run = sub.add_parser("run", help="simulate and write metrics")
-    which = run.add_mutually_exclusive_group()
-    which.add_argument("--compare", metavar="P1,P2,...",
-                       help="comma-separated protocols, one CSV row each")
+    scale = sub.add_parser(
+        "scale", help="simulate run's rows at each node count N and print "
+                      "lambda against N")
+    scale.add_argument("sizes", nargs="+", type=int, metavar="N")
+    for p in (run, scale):
+        which = p.add_mutually_exclusive_group()
+        which.add_argument("--compare", metavar="P1,P2,...",
+                           help="comma-separated protocols, one CSV row each")
+        _add_config_flags(p, skip=("n",) if p is scale else (), which=which)
+        p.add_argument("--sweep-beta", action="store_true",
+                       help="search for the breaking fault count (N <= 20)")
+        p.add_argument("--out", type=Path, required=True,
+                       help="output directory for CSV and logs")
     sweep = sub.add_parser(
         "sweep", help="find each deployment's breaking fault count by "
                       "exhaustive attack (N <= 20)")
     sweep.add_argument("deployments", nargs="+", type=_parse_deployment,
                        metavar="protocol:N:K[:d]")
-    for c in CONFIG_KEYS:
-        # a bare boolean flag (--delegate) means true
-        bare = {"nargs": "?", "const": "true"} if c.read is read_bool else {}
-        (which if c.key == "protocol" else run).add_argument(
-            c.flag, dest=c.key, help=c.help, **bare)
-        if c.key not in DEPLOYMENT_KEYS:
-            sweep.add_argument(c.flag, dest=c.key, help=c.help, **bare)
-    for p in (run, sweep):
-        p.add_argument("--config", type=Path,
-                       help="key=value experiment file; given flags override")
-    run.add_argument("--sweep-beta", action="store_true",
-                     help="search for the breaking fault count (N <= 20)")
-    run.add_argument("--out", type=Path, required=True,
-                     help="output directory for CSV and logs")
+    _add_config_flags(sweep, skip=DEPLOYMENT_KEYS + SWEEP_UNREAD_KEYS)
     return parser
 
 
@@ -240,16 +255,16 @@ def _config_from_args(args, **fields) -> ExperimentConfig:
     return ExperimentConfig(**given)
 
 
-def _run_configs(args) -> list[ExperimentConfig]:
-    """The run's config, or one per ``--compare`` protocol. A comparison
-    sizes its coded K as a csm run does, from the budget b, and each
-    replication row without a K takes that K, so the rows share a
-    workload."""
+def _run_configs(args, **fields) -> list[ExperimentConfig]:
+    """The run's config, or one per ``--compare`` protocol, with
+    ``fields`` over each. A comparison sizes its coded K as a csm run
+    does, from the budget b, and each replication row without a K takes
+    that K, so the rows share a workload."""
     if args.compare is None:
-        return [_config_from_args(args)]
+        return [_config_from_args(args, **fields)]
     configs = []
     for protocol in args.compare.split(","):
-        cfg = _config_from_args(args, protocol=protocol.strip())
+        cfg = _config_from_args(args, **fields, protocol=protocol.strip())
         if cfg.protocol == "csm" or cfg.k_machines is None:
             coded = dataclasses.replace(cfg, protocol="csm", k_machines=None)
             cfg = dataclasses.replace(cfg, k_machines=derive_sizes(coded)[1])
@@ -290,13 +305,28 @@ def _sweep_cli(parser, args) -> int:
     return 0
 
 
+def _print_scale_table(records: list[MetricsRecord], n_sizes: int) -> None:
+    """One line per size: N, the first row's K and each row's lambda."""
+    per_size = len(records) // n_sizes
+    rows = [records[i:i + per_size] for i in range(0, len(records), per_size)]
+    print(f"{'N':>5} {'K':>5} " + " ".join(
+        f"{'lambda_' + r.protocol:>12}" for r in rows[0]))
+    for row in rows:
+        print(f"{row[0].n_nodes:>5} {row[0].k_machines:>5} " + " ".join(
+            f"{r.lam:>12.6f}" for r in row))
+
+
 def run_cli(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "sweep":
         return _sweep_cli(parser, args)
+    # scale plays run's rows once per size
+    sizes = ([{"n_nodes": n} for n in args.sizes]
+             if args.command == "scale" else [{}])
     try:
-        configs = _run_configs(args)
+        configs = [cfg for fields in sizes
+                   for cfg in _run_configs(args, **fields)]
     except ConfigurationError as exc:
         parser.error(str(exc))
 
@@ -323,6 +353,8 @@ def run_cli(argv=None) -> int:
             failures += 1
     write_csv(out / "metrics.csv", records)
     print(f"wrote {out / 'metrics.csv'} ({len(records)} rows)")
+    if args.command == "scale":
+        _print_scale_table(records, len(sizes))
     return 3 if failures else 0
 
 

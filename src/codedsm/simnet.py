@@ -377,6 +377,14 @@ class ExperimentConfig:
         object.__setattr__(self, "fault_fraction",
                            _as_fraction(self.fault_fraction))
 
+    @property
+    def fault_share(self) -> Fraction:
+        """The fault fraction a run reports: b/N where ``b`` sets the
+        budget, else ``mu``."""
+        if self.b is None:
+            return self.fault_fraction
+        return Fraction(self.b, self.n_nodes)
+
     def machine_name(self) -> str:
         if self.machine is not None:
             return self.machine
@@ -568,7 +576,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                channel=config.channel, adversary=config.adversary,
                delegate=config.delegate, rounds=config.rounds,
                seed=config.seed, b=b,
-               mu=str(config.fault_fraction),
+               mu=str(config.fault_share),
                machine=config.machine_name(),
                timing={"mode": timing.mode, "delta": 1, "gst": timing.gst},
                faulty=sorted(adversary.faulty))

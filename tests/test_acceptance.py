@@ -32,7 +32,7 @@ from codedsm.field import (
     counting,
     parse_field,
 )
-from codedsm.harness import compute_metrics, read_csv, run_cli
+from codedsm.harness import read_csv, run_cli
 from codedsm.intermix import (
     Delegation,
     HONEST,
@@ -339,21 +339,18 @@ def test_criterion_6_delegated_decode():
 # 7. throughput trend at desk scale
 # ---------------------------------------------------------------------------
 
-def test_criterion_7_throughput_trend():
+def test_criterion_7_throughput_trend(tmp_path):
     start = time.time()
-    lams_csm, lams_full = [], []
-    for n in (16, 32, 64):
-        res = run_experiment(ExperimentConfig(
-            protocol="csm", n_nodes=n, degree=1,
-            fault_fraction=Fraction(1, 4), delegate=True,
-            poly_mode="fast", rounds=4, seed=7))
-        assert res.ok, (n, res.violations)
-        assert res.k_machines == n // 2
-        lams_csm.append(compute_metrics(res).lam)
-        full = run_experiment(ExperimentConfig(
-            protocol="full", n_nodes=n, k_machines=4, machine="bank",
-            fault_fraction=Fraction(1, 4), rounds=4, seed=7))
-        lams_full.append(compute_metrics(full).lam)
+    assert run_cli(["scale", "16", "32", "64", "--compare", "csm,full",
+                    "--mu", "1/4", "--d", "1", "--delegate", "--poly-mode",
+                    "fast", "--rounds", "4", "--seed", "7",
+                    "--out", str(tmp_path)]) == 0
+    rows = read_csv(tmp_path / "metrics.csv")
+    lams = {p: [float(r["lambda"]) for r in rows if r["protocol"] == p]
+            for p in ("csm", "full")}
+    lams_csm, lams_full = lams["csm"], lams["full"]
+    assert [int(r["N"]) for r in rows] == [16, 16, 32, 32, 64, 64]
+    assert all(int(r["K"]) == int(r["N"]) // 2 for r in rows)
     assert lams_csm[0] < lams_csm[1] < lams_csm[2], lams_csm
     spread = max(lams_full) / min(lams_full) - 1
     assert spread <= 0.05, lams_full

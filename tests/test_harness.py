@@ -222,6 +222,19 @@ def test_cli_usage_errors(tmp_path):
     assert exc.value.code == 2  # missing --n
 
 
+@pytest.mark.parametrize("flags, share", [(["--b", "2"], "1/6"),
+                                          (["--b", "2", "--mu", "1/3"], "1/6"),
+                                          (["--mu", "1/4"], "1/4")])
+def test_cli_reports_the_fault_fraction_that_sized_the_run(tmp_path, flags,
+                                                           share):
+    # b/N where --b sets the budget, else the given mu
+    assert run_cli(["run", "--protocol", "csm", "--n", "12", "--d", "1",
+                    "--rounds", "1", *flags, "--out", str(tmp_path)]) == 0
+    (row,) = read_csv(tmp_path / "metrics.csv")
+    assert row["fault_fraction"] == share
+    assert _header(tmp_path / "csm_n12_seed0.jsonl")["mu"] == share
+
+
 def test_cli_flags_violations_with_diagnostic_exit(tmp_path, capsys):
     code = run_cli(["run", "--protocol", "full", "--n", "5", "--k", "2",
                     "--b", "3", "--adversary", "corrupt", "--rounds", "3",
@@ -436,13 +449,82 @@ def test_sweep_refuses_bad_deployments(deployment):
     assert exc.value.code == 2
 
 
-def test_run_and_sweep_take_the_same_config_flags():
+@pytest.mark.parametrize("flags", [["--mu", "1/4"], ["--b", "2"],
+                                   ["--adversary", "corrupt"],
+                                   ["--rounds", "3"]])
+def test_sweep_refuses_the_settings_it_does_not_read(flags, tmp_path,
+                                                     capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["sweep", *flags, "full:5:3"])
+    assert exc.value.code == 2
+    # a config file holding them is still accepted, and they change nothing
+    path = tmp_path / "exp.cfg"
+    path.write_text(f"{flags[0][2:]} = {flags[1]}\n")
+    capsys.readouterr()
+    assert run_cli(["sweep", "--config", str(path), "full:5:3"]) == 0
+    from_file = capsys.readouterr().out
+    assert run_cli(["sweep", "full:5:3"]) == 0
+    assert capsys.readouterr().out == from_file
+
+
+def test_each_subcommand_takes_the_config_flags_it_reads():
     (sub,) = [a for a in build_parser()._actions
               if isinstance(a, argparse._SubParsersAction)]
     flags = {name: {f for a in p._actions for f in a.option_strings}
              for name, p in sub.choices.items()}
     keys = {c.flag for c in CONFIG_KEYS}
     spelled = {"--protocol", "--n", "--k", "--d"}
-    assert flags["sweep"] == keys - spelled | {"--config", "-h", "--help"}
-    assert flags["run"] == flags["sweep"] | spelled | {
-        "--compare", "--sweep-beta", "--out"}
+    unread = {"--mu", "--b", "--adversary", "--rounds"}
+    assert flags["sweep"] == keys - spelled - unread | {
+        "--config", "-h", "--help"}
+    assert flags["run"] == keys | {"--config", "-h", "--help", "--compare",
+                                   "--sweep-beta", "--out"}
+    assert flags["scale"] == flags["run"] - {"--n"}
+
+
+# ---------------------------------------------------------------------------
+# scale
+# ---------------------------------------------------------------------------
+
+def _scale_table(out):
+    """The lines `codedsm scale` prints after its status lines."""
+    lines = out.splitlines()
+    return lines[[ln.startswith("wrote ") for ln in lines].index(True) + 1:]
+
+
+def test_scale_prints_one_row_per_size(tmp_path, capsys):
+    code = run_cli(["scale", "16", "--compare", "csm,full", "--mu", "1/4",
+                    "--d", "1", "--delegate", "--poly-mode", "fast",
+                    "--seed", "7", "--rounds", "1", "--out", str(tmp_path)])
+    assert code == 0
+    header, *rows = _scale_table(capsys.readouterr().out)
+    assert header.split() == ["N", "K", "lambda_csm", "lambda_full"]
+    assert len(rows) == 1 and rows[0].split()[0] == "16"
+
+
+def test_scale_rows_are_the_run_rows_at_each_size(tmp_path):
+    flags = ["--compare", "csm,full", "--mu", "1/4", "--d", "1",
+             "--adversary", "corrupt", "--rounds", "2", "--seed", "3"]
+    assert run_cli(["scale", "8", "12", *flags,
+                    "--out", str(tmp_path / "s")]) == 0
+    scaled = read_csv(tmp_path / "s" / "metrics.csv")
+    assert [(r["protocol"], r["N"]) for r in scaled] == [
+        ("csm", "8"), ("full", "8"), ("csm", "12"), ("full", "12")]
+    for n in (8, 12):
+        out = tmp_path / f"r{n}"
+        assert run_cli(["run", "--n", str(n), *flags,
+                        "--out", str(out)]) == 0
+        assert read_csv(out / "metrics.csv") == \
+            [r for r in scaled if r["N"] == str(n)]
+        for protocol in ("csm", "full"):
+            log = f"{protocol}_n{n}_seed3.jsonl"
+            assert (tmp_path / "s" / log).read_bytes() == \
+                (out / log).read_bytes()
+
+
+def test_scale_refuses_n_and_bad_sizes(tmp_path):
+    for argv in (["scale", "16", "--n", "16"], ["scale", "sixteen"],
+                 ["scale", "0"], ["scale"]):
+        with pytest.raises(SystemExit) as exc:
+            run_cli([*argv, "--protocol", "full", "--out", str(tmp_path)])
+        assert exc.value.code == 2
