@@ -57,7 +57,6 @@ from .simnet import (  # noqa: F401
     EventLog,
     ExperimentConfig,
     ExperimentResult,
-    Timing,
     run_experiment,
 )
 from .harness import (  # noqa: F401

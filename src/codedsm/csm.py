@@ -23,10 +23,6 @@ DECODE_FAILURE = "decode failure (fault budget exceeded)"
 NO_QUORUM = "no value reached b+1 matching reports"
 
 
-class DeliveryFailure(Exception):
-    """No output value reached the required number of matching reports."""
-
-
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
@@ -290,7 +286,8 @@ def update_coded_states(decoded_states, cfg: CodingConfig):
 
 
 def client_decide(reports, b: int):
-    """Pick the value reported identically by at least b+1 nodes.
+    """Pick the value reported identically by at least b+1 nodes, or
+    None when no value reaches b+1 (`NO_QUORUM`).
 
     Safe when the deployment satisfies 2b+1 <= N (enforced at config
     time): at most b of the reports lie, so b+1 matching reports always
@@ -304,17 +301,12 @@ def client_decide(reports, b: int):
         best = max(counts.items(), key=lambda kv: kv[1])
         if best[1] >= b + 1:
             return best[0]
-    raise DeliveryFailure(NO_QUORUM)
+    return None
 
 
 def client_outputs(pools, b: int):
     """`client_decide` on each machine's pool of reports: the outputs, None
     where none was decided, and (machine, reason) for each of those."""
-    outputs, failures = [], []
-    for k, pool in enumerate(pools):
-        try:
-            outputs.append(client_decide(pool, b))
-        except DeliveryFailure as exc:
-            outputs.append(None)
-            failures.append((k, str(exc)))
-    return tuple(outputs), tuple(failures)
+    outputs = tuple(client_decide(pool, b) for pool in pools)
+    return outputs, tuple((k, NO_QUORUM) for k, y in enumerate(outputs)
+                          if y is None)

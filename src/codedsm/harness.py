@@ -28,7 +28,6 @@ from .simnet import (
     EventLog,
     ExperimentConfig,
     ExperimentResult,
-    Timing,
     deployment,
     derive_sizes,
     ground_truth,
@@ -149,21 +148,21 @@ def sweep_security(config: ExperimentConfig) -> SweepReport:
               for _ in range(SWEEP_ROUNDS)]
     truths = [ground_truth(machine, states, commands)
               for states, commands in trials]
-    timing = Timing(config.setting)
     board = CounterBoard()  # the sweep's own; nothing reads it
 
     with uncounted():
         for b in range(n + 1):
             for placement in itertools.combinations(range(n), b):
                 for strategy in SWEEP_STRATEGIES:
-                    adversary = AdversaryModel(frozenset(placement),
-                                               strategy, config.seed)
+                    adversary = AdversaryModel(
+                        frozenset(placement), machine.field, strategy,
+                        config.seed, config.setting)
                     for trial, (states, commands) in enumerate(trials):
-                        play = protocol_round(config, layout, timing,
-                                              adversary, EventLog(), board,
-                                              beacon, states)
+                        play = protocol_round(config, layout, adversary,
+                                              EventLog(), board, beacon,
+                                              states)
                         found, _ = play(trial, states, commands,
-                                        truths[trial], False)
+                                        truths[trial])
                         if found:
                             witness = {"b": b, "placement": list(placement),
                                        "strategy": strategy,
@@ -189,14 +188,10 @@ def _parse_deployment(text: str) -> dict:
     spells. Without d, the degree is the config file's or the machine's."""
     parts = text.split(":")
     if not 3 <= len(parts) <= len(DEPLOYMENT_KEYS):
-        raise argparse.ArgumentTypeError(
-            f"expected protocol:N:K[:d], got {text!r}")
+        raise ConfigurationError(f"expected protocol:N:K[:d], got {text!r}")
     keys = {c.key: c for c in CONFIG_KEYS}
-    try:
-        return {keys[key].field: keys[key].value(part, text)
-                for key, part in zip(DEPLOYMENT_KEYS, parts)}
-    except ConfigurationError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+    return {keys[key].field: keys[key].value(part, text)
+            for key, part in zip(DEPLOYMENT_KEYS, parts)}
 
 
 def _add_config_flags(parser, skip=(), which=None) -> None:
@@ -235,8 +230,9 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser(
         "sweep", help="find each deployment's breaking fault count by "
                       "exhaustive attack (N <= 20)")
-    sweep.add_argument("deployments", nargs="+", type=_parse_deployment,
-                       metavar="protocol:N:K[:d]")
+    # parsed after the flags, so a flag the sweep does not take is
+    # reported as such, not as a bad deployment
+    sweep.add_argument("deployments", nargs="+", metavar="protocol:N:K[:d]")
     _add_config_flags(sweep, skip=DEPLOYMENT_KEYS + SWEEP_UNREAD_KEYS)
     return parser
 
@@ -287,7 +283,11 @@ def read_csv(path: Path) -> list[dict]:
 
 def _sweep_cli(parser, args) -> int:
     """Print each deployment's measured tolerance and its witness."""
-    for fields in args.deployments:
+    try:
+        deployments = [_parse_deployment(t) for t in args.deployments]
+    except ConfigurationError as exc:
+        parser.error(str(exc))
+    for fields in deployments:
         try:
             cfg = _config_from_args(args, **fields)
             d = derive_sizes(cfg)[3]

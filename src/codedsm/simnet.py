@@ -15,7 +15,6 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,6 +36,7 @@ from .csm import (
 from .field import (
     ConfigurationError,
     CounterBoard,
+    Field,
     Memo,
     parse_field,
     uncounted,
@@ -59,48 +59,22 @@ ADVERSARIES = ("none", "corrupt", "collude", "corrupt_random", "withhold",
 
 
 # ---------------------------------------------------------------------------
-# timing and adversary
+# the network model
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Timing:
-    """Delivery discipline. In the partially synchronous mode messages may
-    be delayed arbitrarily before the stabilization round ``gst`` and are
-    delivered within one round afterwards. Node logic never reads ``gst``;
-    only the network scheduler does."""
-
-    mode: str = "sync"
-    gst: int = 0
-
-    def __post_init__(self):
-        if self.mode not in SETTINGS:
-            raise ConfigurationError(f"timing mode must be one of {SETTINGS}")
-        if self.gst < 0:
-            raise ConfigurationError("bad timing parameters")
-
-    @staticmethod
-    def draw(mode: str, rng: random.Random, horizon: int) -> "Timing":
-        if mode == "sync":
-            return Timing("sync")
-        gst = rng.randrange(0, max(1, horizon // 2) + 1)
-        return Timing("psync", gst)
-
-
-def tamper(strategy: str, vectors, fld, rng: random.Random, rnd: int,
-           timing: Timing):
+def tamper(strategy: str, vectors, fld, rng: random.Random, stabilized: bool):
     """What one Byzantine node sends in place of its honest ``vectors``:
     the same list, a corrupted list, or None for silence. ``corrupt``
     and ``collude`` shift every coordinate by a nonzero draw;
     ``corrupt_random`` and ``equivocate`` (which a broadcast channel
-    collapses to one value) replace every coordinate by a fresh draw."""
+    collapses to one value) replace every coordinate by a fresh draw;
+    ``delay`` is silent until the network has ``stabilized``."""
     if strategy in ("none", "false_audit", "dishonest_worker"):
         return vectors
     if strategy == "withhold":
         return None
     if strategy == "delay":
-        if timing.mode == "psync" and rnd >= timing.gst:
-            return vectors  # delivered within a round after stabilization
-        return None
+        return vectors if stabilized else None
     if strategy in ("corrupt", "collude"):
         return [tuple(fld.add(v, rng.randrange(1, fld.order)) for v in vec)
                 for vec in vectors]
@@ -112,21 +86,32 @@ def tamper(strategy: str, vectors, fld, rng: random.Random, rnd: int,
 
 @dataclass(frozen=True)
 class AdversaryModel:
-    """Which nodes are Byzantine and what they do with that freedom.
+    """The network: which nodes are Byzantine, what they do with that
+    freedom, and when messages arrive.
 
     Every deviation of a faulty node comes from here, and every message
     draws from its own stream, so one message's draws never shift
     another's. Colluders share one stream per message, so they all add
-    the same shifts."""
+    the same shifts. Under ``psync`` messages may be delayed arbitrarily
+    before the stabilization round ``gst`` and are delivered within one
+    round afterwards; node logic never reads ``gst``, only the scheduler
+    does."""
 
     faulty: frozenset[int]
+    field: Field
     strategy: str = "none"
     seed: int = 0
+    setting: str = "sync"
+    gst: int = 0
 
     def __post_init__(self):
         if self.strategy not in ADVERSARIES:
             raise ConfigurationError(
                 f"adversary must be one of {ADVERSARIES}")
+        if self.setting not in SETTINGS:
+            raise ConfigurationError(f"setting must be one of {SETTINGS}")
+        if self.gst < 0:
+            raise ConfigurationError("bad timing parameters")
 
     def stream(self, *salt) -> random.Random:
         # string hashing is randomized per process, so derive the child
@@ -135,8 +120,12 @@ class AdversaryModel:
         digest = hashlib.sha256(tag.encode()).digest()
         return random.Random(int.from_bytes(digest[:8], "big"))
 
-    def send(self, label: str, rnd: int, node: int, vectors, fld,
-             timing: Timing, *salt):
+    def pre_stabilization(self, rnd: int) -> bool:
+        """Whether round ``rnd`` runs before psync's stabilization, when
+        a missing output breaks no guarantee."""
+        return self.setting == "psync" and rnd < self.gst
+
+    def send(self, label: str, rnd: int, node: int, vectors, *salt):
         """What ``node`` sends as the message ``label`` of round ``rnd``
         (its round result, its decoded outputs, its baseline report, or
         one receiver's view, named by ``salt``) in place of its honest
@@ -144,20 +133,25 @@ class AdversaryModel:
         if node not in self.faulty:
             return vectors
         sender = () if self.strategy == "collude" else (node,)
+        # under sync a delayed message misses every round's bound
+        stabilized = self.setting == "psync" and rnd >= self.gst
         # a faulty node is charged what an honest one runs (`Memo`), so
         # its lie itself is never counted
         with uncounted():
-            return tamper(self.strategy, vectors, fld,
-                          self.stream(label, rnd, *sender, *salt), rnd,
-                          timing)
+            return tamper(self.strategy, vectors, self.field,
+                          self.stream(label, rnd, *sender, *salt),
+                          stabilized)
 
     def arrivals(self, values, b: int, rnd: int, *salt) -> list:
-        """The first N-b results a node acts on under psync's timeout rule.
+        """The results a node acts on: all of ``values`` under sync, the
+        first N-b under psync's timeout rule.
 
         Byzantine senders rush their messages; the scheduler (adversary
         before stabilization, arbitrary-but-fair after) picks which honest
         results fill the remaining slots. Honest results do all arrive, the
         node just stops waiting at N - b."""
+        if self.setting == "sync":
+            return values
         n = len(values)
         keep = n - b
         rushed = [i for i in range(n)
@@ -169,14 +163,14 @@ class AdversaryModel:
             honest, min(len(honest), keep - len(chosen))))
         return [values[i] if i in chosen else None for i in range(n)]
 
-    def worker_strategy(self, node: int, fld) -> WorkerStrategy | None:
+    def worker_strategy(self, node: int) -> WorkerStrategy | None:
         """How ``node`` lies when elected delegated-coding worker; None
         means honestly."""
         if self.strategy != "dishonest_worker" or node not in self.faulty:
             return None
         rng = self.stream("worker", node)
         reply = rng.choice(REPLY_POLICIES)
-        delta = rng.randrange(1, fld.order)
+        delta = rng.randrange(1, self.field.order)
         return WorkerStrategy(deltas={0: (delta, rng.randrange(64))},
                               reply=reply, seed=rng.randrange(2 ** 31))
 
@@ -188,50 +182,20 @@ class AdversaryModel:
 
 
 # ---------------------------------------------------------------------------
-# clients and consensus
+# consensus
 # ---------------------------------------------------------------------------
 
-class CommandPool:
-    """Pending client commands, one queue per machine."""
+def consensus_oracle(submitted):
+    """Agree on the round's commands: the ``(client, command)`` that was
+    submitted for each machine, as ``(commands, clients)``.
 
-    def __init__(self, k_machines: int):
-        self.queues: list[deque] = [deque() for _ in range(k_machines)]
-        self.submitted: list[tuple[int, int, tuple[int, ...]]] = []
-
-    def submit(self, machine_k: int, client: int, command) -> None:
-        command = tuple(command)
-        self.queues[machine_k].append((client, command))
-        self.submitted.append((machine_k, client, command))
-
-    def pending(self, machine_k: int) -> int:
-        return len(self.queues[machine_k])
-
-
-def consensus_oracle(pool: CommandPool, noop_command, preference=None):
-    """Agree on one command per machine.
-
-    Acts as an ideal functionality: the chosen command is always one a
-    client actually submitted (or the designated no-op when nothing is
-    pending), and every honest node observes the same choice. The
-    adversary's only freedom is ``preference(k, n_pending) -> index``,
-    which picks among pending commands.
+    Acts as an ideal functionality: every agreed command is one a client
+    submitted, and every honest node observes the same choice. Each
+    round submits one command per machine, so there is nothing to order
+    and no no-op to pick.
     """
-    commands = []
-    clients = []
-    for k, q in enumerate(pool.queues):
-        if not q:
-            commands.append(tuple(noop_command))
-            clients.append(-1)
-            continue
-        idx = 0
-        if preference is not None:
-            idx = preference(k, len(q)) % len(q)
-        q.rotate(-idx)
-        client, cmd = q.popleft()
-        q.rotate(idx)
-        commands.append(cmd)
-        clients.append(client)
-    return tuple(commands), tuple(clients)
+    clients, commands = zip(*submitted)
+    return commands, clients
 
 
 # ---------------------------------------------------------------------------
@@ -560,15 +524,18 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     in the partially synchronous case (liveness; `judge_reconstruction`
     and `judge_delivery` judge both). Validity, that every executed
     command was submitted, is not judged: it holds by construction,
-    because `consensus_oracle` is an ideal functionality that only ever
-    picks a submitted command or the no-op.
+    because `consensus_oracle` is an ideal functionality that agrees on
+    the submitted commands.
     """
     machine, k, b, d = derive_sizes(config)
     init_rng, cmd_rng, adv_seed_rng, beacon = seed_streams(config.seed)
-    timing = Timing.draw(config.setting, init_rng, config.rounds)
+    gst = 0
+    if config.setting == "psync":
+        gst = init_rng.randrange(0, max(1, config.rounds // 2) + 1)
     adversary = AdversaryModel(
-        _pick_faulty(config.n_nodes, b, init_rng), config.adversary,
-        adv_seed_rng.randrange(2 ** 63))
+        _pick_faulty(config.n_nodes, b, init_rng), machine.field,
+        config.adversary, adv_seed_rng.randrange(2 ** 63), config.setting,
+        gst)
     log = EventLog()
     board = CounterBoard()
     log.append("header", protocol=config.protocol, n=config.n_nodes, k=k,
@@ -578,26 +545,23 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                seed=config.seed, b=b,
                mu=str(config.fault_share),
                machine=config.machine_name(),
-               timing={"mode": timing.mode, "delta": 1, "gst": timing.gst},
+               timing={"mode": config.setting, "delta": 1, "gst": gst},
                faulty=sorted(adversary.faulty))
     states = tuple(machine.random_state(init_rng) for _ in range(k))
     log.append("init", states=[list(s) for s in states])
     layout = deployment(config, machine, k, b)
-    play = protocol_round(config, layout, timing, adversary, log, board,
-                          beacon, states)
-    pool = CommandPool(k)
-    noop = (0,) * machine.cmd_dim
+    play = protocol_round(config, layout, adversary, log, board, beacon,
+                          states)
     violations: list[dict] = []
     rounds_run = 0
     for rnd in range(config.rounds):
-        _submit_round_commands(pool, machine, cmd_rng, rnd, log)
-        commands, clients = consensus_oracle(pool, noop)
+        submitted = _submit_round_commands(machine, k, cmd_rng, rnd, log)
+        commands, clients = consensus_oracle(submitted)
         log.append("consensus", round=rnd,
                    commands=[list(c) for c in commands],
                    clients=list(clients))
         truth = ground_truth(machine, states, commands)
-        found, goes_on = play(rnd, states, commands, truth,
-                              timing.mode == "psync" and rnd < timing.gst)
+        found, goes_on = play(rnd, states, commands, truth)
         violations.extend(found)
         # A run stops at a liveness or correctness violation. A coded run
         # also stops at a round it cannot decode, even before
@@ -613,13 +577,16 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                             states, layout)
 
 
-def _submit_round_commands(pool, machine, cmd_rng, rnd, log):
-    for mk in range(len(pool.queues)):
-        client = (rnd + mk) % max(1, len(pool.queues))
+def _submit_round_commands(machine, k: int, cmd_rng, rnd: int, log):
+    """Each machine's ``(client, command)`` submitted in round ``rnd``."""
+    submitted = []
+    for mk in range(k):
+        client = (rnd + mk) % k
         cmd = machine.random_command(cmd_rng)
-        pool.submit(mk, client, cmd)
+        submitted.append((client, cmd))
         log.append("submit", round=rnd, machine=mk, client=client,
                    command=list(cmd))
+    return submitted
 
 
 def deployment(config: ExperimentConfig, machine, k: int, b: int):
@@ -632,24 +599,23 @@ def deployment(config: ExperimentConfig, machine, k: int, b: int):
                              config.setting)
 
 
-def protocol_round(config: ExperimentConfig, layout, timing: Timing,
+def protocol_round(config: ExperimentConfig, layout,
                    adversary: AdversaryModel, log: EventLog,
                    board: CounterBoard, beacon, states):
     """The round of ``config``'s protocol on ``layout`` (its
     `deployment`), starting from ``states``. Called as ``play(rnd,
-    states, commands, truth, pre_stabilization)``, it plays round ``rnd``
-    against ``adversary``, logs it to ``log``, charges it to ``board``
+    states, commands, truth)``, it plays round ``rnd`` against the
+    network ``adversary``, logs it to ``log``, charges it to ``board``
     and returns its violations and whether the run goes on."""
     if config.protocol == "csm":
-        return _coded_rounds(config, layout, timing, adversary, log, board,
-                             beacon, states)
-    return _replicated_rounds(layout, timing, adversary, log, board)
+        return _coded_rounds(config, layout, adversary, log, board, beacon,
+                             states)
+    return _replicated_rounds(layout, adversary, log, board)
 
 
-def _coded_rounds(config, coding, timing, adversary, log, board, beacon,
-                  states):
+def _coded_rounds(config, coding, adversary, log, board, beacon, states):
     """Encode the initial ``states`` and return the coded round."""
-    fld, n, k, b = coding.field, coding.n_nodes, coding.k_machines, coding.b
+    n, k, b = coding.n_nodes, coding.k_machines, coding.b
     with board.scope("net", "setup"):
         coded_states = encode_states(states, coding)
     dele = None
@@ -657,34 +623,31 @@ def _coded_rounds(config, coding, timing, adversary, log, board, beacon,
         dele = Delegation(
             coding, eps=config.eps, beacon=beacon, board=board,
             mode=config.poly_mode,
-            worker_strategy_for=lambda i: adversary.worker_strategy(i, fld),
+            worker_strategy_for=adversary.worker_strategy,
             auditor_strategy_for=adversary.auditor_policy)
     equivocating = (adversary.strategy == "equivocate"
                     and config.channel == "p2p")
 
-    def play(rnd, states, commands, truth, pre_stabilization):
+    def play(rnd, states, commands, truth):
         nonlocal coded_states
-
-        def arrive(view, *receiver):
-            if timing.mode == "psync":
-                return adversary.arrivals(view, b, rnd, *receiver)
-            return view
+        pre_stabilization = adversary.pre_stabilization(rnd)
 
         def deliver(g):
             # one view per node: all N share one on a broadcast channel
             log.append("execute", round=rnd, g=[list(v) for v in g])
             view = list(g)
             for i in () if equivocating else adversary.faulty:
-                sent = adversary.send("result", rnd, i, [g[i]], fld, timing)
+                sent = adversary.send("result", rnd, i, [g[i]])
                 view[i] = None if sent is None else sent[0]
-            view = arrive(view)
+            view = adversary.arrivals(view, b, rnd)
             log.append("delivered", round=rnd,
                        g=[None if v is None else list(v) for v in view])
             if not equivocating:
                 return [view] * n
             # faulty receivers too; equivocation never withholds
-            return [arrive([adversary.send("equiv", rnd, i, [v], fld, timing,
-                                           r)[0] for i, v in enumerate(g)], r)
+            return [adversary.arrivals(
+                        [adversary.send("equiv", rnd, i, [v], r)[0]
+                         for i, v in enumerate(g)], b, rnd, r)
                     for r in range(n)]
 
         def decode(views):
@@ -721,7 +684,7 @@ def _coded_rounds(config, coding, timing, adversary, log, board, beacon,
         if failed or not result.success:
             return violations, False
 
-        sent = [adversary.send("deliver", rnd, i, result.outputs, fld, timing)
+        sent = [adversary.send("deliver", rnd, i, result.outputs)
                 for i in range(n)]
         delivered, _ = client_outputs(
             [[None if s is None else s[mk] for s in sent] for mk in range(k)],
@@ -752,21 +715,21 @@ def _coded_rounds(config, coding, timing, adversary, log, board, beacon,
     return play
 
 
-def _replicated_rounds(cfg, timing, adversary, log, board):
+def _replicated_rounds(cfg, adversary, log, board):
     """The replicated round."""
 
-    def play(rnd, states, commands, truth, pre_stabilization):
+    def play(rnd, states, commands, truth):
         def report(i, mine):
             # the whole report is one message: silence drops all of it
-            sent = adversary.send("report", rnd, i, list(mine.values()),
-                                  cfg.machine.field, timing)
+            sent = adversary.send("report", rnd, i, list(mine.values()))
             return None if sent is None else dict(zip(mine, sent))
 
         with board.scope("net", "rho"):
             round_res = run_replicated_round(states, commands, cfg, report)
         log.append("round", **round_res.record(rnd, commands))
         found = judge_delivery(round_res.outputs, truth[1], rnd,
-                               pre_stabilization, "no output delivered")
+                               adversary.pre_stabilization(rnd),
+                               "no output delivered")
         return found, not found
 
     return play

@@ -449,6 +449,22 @@ def test_sweep_refuses_bad_deployments(deployment):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("flags", [["--rounds", "3"], ["--rounds=3"]])
+def test_sweep_names_a_flag_it_does_not_take(flags, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["sweep", *flags, "full:5:3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --rounds" in capsys.readouterr().err
+
+
+def test_sweep_parses_every_deployment_before_sweeping(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["sweep", "full:5:3", "csm:ten:3"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "bad value 'ten' for n" in err
+
+
 @pytest.mark.parametrize("flags", [["--mu", "1/4"], ["--b", "2"],
                                    ["--adversary", "corrupt"],
                                    ["--rounds", "3"]])

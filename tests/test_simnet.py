@@ -21,11 +21,8 @@ from codedsm.simnet import (
     ADVERSARIES,
     CONFIG_KEYS,
     AdversaryModel,
-    CommandPool,
     EventLog,
     ExperimentConfig,
-    Timing,
-    consensus_oracle,
     ground_truth,
     judge_consistency,
     judge_delivery,
@@ -97,41 +94,8 @@ def test_log_records_initial_states_for_replay():
 
 
 # ---------------------------------------------------------------------------
-# consensus oracle and command pool
+# consensus oracle
 # ---------------------------------------------------------------------------
-
-def test_pool_is_fifo_and_tracks_submissions():
-    pool = CommandPool(2)
-    pool.submit(0, 5, (1, 2))
-    pool.submit(0, 6, (3, 4))
-    pool.submit(1, 7, (9, 9))
-    commands, clients = consensus_oracle(pool, (0, 0))
-    assert commands == ((1, 2), (9, 9))
-    assert clients == (5, 7)
-    assert pool.pending(0) == 1
-    assert (0, 5, (1, 2)) in pool.submitted
-
-
-def test_oracle_noop_when_nothing_pending():
-    pool = CommandPool(2)
-    pool.submit(1, 3, (8,))
-    commands, clients = consensus_oracle(pool, (0,))
-    assert commands[0] == (0,)
-    assert clients[0] == -1
-    assert commands[1] == (8,)
-
-
-def test_adversary_preference_picks_among_pending_only():
-    pool = CommandPool(1)
-    for c, cmd in enumerate([(1,), (2,), (3,)]):
-        pool.submit(0, c, cmd)
-    commands, clients = consensus_oracle(pool, (0,),
-                                         preference=lambda k, n: n - 1)
-    assert commands == ((3,),)
-    assert clients == (2,)
-    # the skipped commands stay pending in order
-    assert list(pool.queues[0]) == [(0, (1,)), (1, (2,))]
-
 
 def test_every_agreed_command_was_submitted():
     res = run_experiment(_cfg(adversary="corrupt", rounds=6))
@@ -277,11 +241,12 @@ def test_delegation_refuses_p2p_channel():
 # ---------------------------------------------------------------------------
 
 def test_timing_validation():
+    with pytest.raises(ConfigurationError, match="setting"):
+        AdversaryModel(frozenset(), F, setting="later")
     with pytest.raises(ConfigurationError):
-        Timing("later")
-    with pytest.raises(ConfigurationError):
-        Timing("sync", gst=-1)
-    assert Timing.draw("sync", random.Random(0), 10).gst == 0
+        AdversaryModel(frozenset(), F, gst=-1)
+    (header,) = run_experiment(_cfg(setting="sync")).log.of("header")
+    assert header["timing"]["gst"] == 0
 
 
 def test_psync_gst_is_seeded_and_logged():
@@ -619,8 +584,8 @@ def test_poly_mode_applies_to_direct_decoding(kw):
 
 def test_adversary_model_validates_strategy():
     with pytest.raises(ConfigurationError):
-        AdversaryModel(frozenset(), "bribe")
-    streams = AdversaryModel(frozenset(), "corrupt", 7)
+        AdversaryModel(frozenset(), F, "bribe")
+    streams = AdversaryModel(frozenset(), F, "corrupt", 7)
     assert streams.stream("a", 1).random() == streams.stream("a", 1).random()
     assert streams.stream("a", 1).random() != streams.stream("a", 2).random()
 
@@ -628,9 +593,10 @@ def test_adversary_model_validates_strategy():
 HONEST_VECS = [(1, 2, 3), (4, 5, 6)]
 
 
-def _sent(strategy, rnd=0, timing=Timing(), vectors=HONEST_VECS, node=1):
-    adv = AdversaryModel(frozenset({1, 2}), strategy, 7)
-    return adv.send("deliver", rnd, node, vectors, F, timing)
+def _sent(strategy, rnd=0, setting="sync", gst=0, vectors=HONEST_VECS,
+          node=1):
+    adv = AdversaryModel(frozenset({1, 2}), F, strategy, 7, setting, gst)
+    return adv.send("deliver", rnd, node, vectors)
 
 
 @pytest.mark.parametrize("strategy", ADVERSARIES)
@@ -647,26 +613,33 @@ def test_send_passes_message_strategies_through(strategy):
 @pytest.mark.parametrize("strategy", ["corrupt", "corrupt_random",
                                       "equivocate"])
 def test_send_gives_one_message_per_label_round_and_node(strategy):
-    adv = AdversaryModel(frozenset({1, 2}), strategy, 7)
-    msg = adv.send("result", 3, 1, HONEST_VECS, F, Timing())
-    assert msg == adv.send("result", 3, 1, HONEST_VECS, F, Timing())
-    others = [adv.send("deliver", 3, 1, HONEST_VECS, F, Timing()),
-              adv.send("result", 4, 1, HONEST_VECS, F, Timing()),
-              adv.send("result", 3, 2, HONEST_VECS, F, Timing()),
-              adv.send("result", 3, 1, HONEST_VECS, F, Timing(), 0)]
+    adv = AdversaryModel(frozenset({1, 2}), F, strategy, 7)
+    msg = adv.send("result", 3, 1, HONEST_VECS)
+    assert msg == adv.send("result", 3, 1, HONEST_VECS)
+    others = [adv.send("deliver", 3, 1, HONEST_VECS),
+              adv.send("result", 4, 1, HONEST_VECS),
+              adv.send("result", 3, 2, HONEST_VECS),
+              adv.send("result", 3, 1, HONEST_VECS, 0)]
     assert all(other != msg for other in others)
 
 
 def test_withhold_sends_nothing():
     assert _sent("withhold") is None
-    assert _sent("withhold", rnd=5, timing=Timing("psync", 2)) is None
+    assert _sent("withhold", rnd=5, setting="psync", gst=2) is None
 
 
 def test_delay_is_silent_until_stabilization():
-    timing = Timing("psync", 3)
-    assert _sent("delay", rnd=2, timing=timing) is None
-    assert _sent("delay", rnd=3, timing=timing) == HONEST_VECS
+    assert _sent("delay", rnd=2, setting="psync", gst=3) is None
+    assert _sent("delay", rnd=3, setting="psync", gst=3) == HONEST_VECS
     assert _sent("delay", rnd=9) is None  # sync never stabilizes late
+
+
+def test_sync_arrivals_are_the_whole_view():
+    view = [(0,), (1,), (2,), (3,)]
+    sync = AdversaryModel(frozenset({1}), F, "corrupt", 7)
+    assert sync.arrivals(view, 1, 0) is view
+    psync = dataclasses.replace(sync, setting="psync")
+    assert sum(v is not None for v in psync.arrivals(view, 1, 0)) == 3
 
 
 def test_corrupt_shifts_every_coordinate():
@@ -680,9 +653,9 @@ def test_corrupt_shifts_every_coordinate():
 def test_colluders_add_the_same_shifts():
     honest = {1: [(1, 2, 3)], 2: [(4, 5, 6)]}
     for strategy, shared in (("collude", True), ("corrupt", False)):
-        adv = AdversaryModel(frozenset({1, 2}), strategy, 7)
+        adv = AdversaryModel(frozenset({1, 2}), F, strategy, 7)
         shifts = [tuple(F.sub(lie, truth) for lie, truth in zip(
-                      adv.send("result", 3, i, vecs, F, Timing())[0],
+                      adv.send("result", 3, i, vecs)[0],
                       vecs[0]))
                   for i, vecs in honest.items()]
         assert all(s != 0 for shift in shifts for s in shift)
@@ -692,19 +665,20 @@ def test_colluders_add_the_same_shifts():
 @pytest.mark.parametrize("strategy", ["corrupt_random", "equivocate"])
 def test_random_strategies_draw_fresh_values(strategy):
     sent = _sent(strategy)
-    rng = AdversaryModel(frozenset(), strategy, 7).stream("deliver", 0, 1)
+    rng = AdversaryModel(frozenset(), F, strategy, 7).stream("deliver", 0,
+                                                             1)
     assert sent == [tuple(rng.randrange(F.order) for _ in v)
                     for v in HONEST_VECS]
     assert sent == _sent(strategy, vectors=[(0, 0, 0), (9, 9, 9)])
 
 
 def test_delegated_roles_follow_the_strategy():
-    liar = AdversaryModel(frozenset({1}), "dishonest_worker", 7)
-    assert liar.worker_strategy(0, F) is None
-    assert not liar.worker_strategy(1, F).honest
-    assert liar.worker_strategy(1, F) == liar.worker_strategy(1, F)
+    liar = AdversaryModel(frozenset({1}), F, "dishonest_worker", 7)
+    assert liar.worker_strategy(0) is None
+    assert not liar.worker_strategy(1).honest
+    assert liar.worker_strategy(1) == liar.worker_strategy(1)
     assert liar.auditor_policy(1) == "honest"
-    alarmist = AdversaryModel(frozenset({1}), "false_audit", 7)
-    assert alarmist.worker_strategy(1, F) is None
+    alarmist = AdversaryModel(frozenset({1}), F, "false_audit", 7)
+    assert alarmist.worker_strategy(1) is None
     assert alarmist.auditor_policy(1) == "false-alert"
     assert alarmist.auditor_policy(0) == "honest"
