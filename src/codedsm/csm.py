@@ -12,10 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
-from .field import ConfigurationError, Field
+from .field import ConfigurationError, Table, uncounted
 from .machine import TransitionFunction
-from .poly import EvalDomain, multipoint_eval
+from .poly import MODES, multipoint_eval
 from .rs import DecodeFailure, NoisyCodeword, decode
 
 SETTINGS = ("sync", "psync")
@@ -79,35 +80,66 @@ def check_budget(n_nodes: int, k_machines: int, degree: int, b: int,
 
 @dataclass(frozen=True)
 class CodingConfig:
-    """Sizing and domain choices for one coded deployment."""
+    """One coded deployment: K machines stored across N nodes for b faults.
 
-    field: Field
+    It holds the machine's ``field``, the data points ``omegas`` and the
+    storage points ``alphas`` (counting machines and nodes from 1, machine
+    k's value sits at omega_k = k and node i stores the evaluation at
+    alpha_i = K + i), the coding matrix ``coeffs`` between them, and
+    ``poly_mode``, the polynomial arithmetic its decoders and delegated
+    routes run.
+    """
+
     machine: TransitionFunction
-    domain: EvalDomain
+    k_machines: int
+    n_nodes: int
     setting: str
     b: int
+    poly_mode: str = "auto"
 
     def __post_init__(self):
-        if self.machine.field != self.field:
-            raise ConfigurationError("machine is over a different field")
-        if self.domain.field != self.field:
-            raise ConfigurationError("domain is over a different field")
-        check_budget(self.n_nodes, self.k_machines,
-                     self.machine.total_degree(), self.b, self.setting)
+        k, n, fld = self.k_machines, self.n_nodes, self.machine.field
+        if k + n >= fld.order:   # the K + N points must be distinct
+            raise ConfigurationError(
+                f"field of order {fld.order} is too small for K={k}, N={n}")
+        if k < 1 or n < 1:
+            raise ConfigurationError("need at least one machine and node")
+        if self.poly_mode not in MODES:
+            raise ConfigurationError(f"poly_mode must be one of {MODES}")
+        check_budget(n, k, self.machine.total_degree(), self.b, self.setting)
+        object.__setattr__(self, "field", fld)
+        object.__setattr__(self, "omegas", tuple(range(1, k + 1)))
+        object.__setattr__(self, "alphas", tuple(range(k + 1, k + n + 1)))
 
-    @staticmethod
-    def make(machine: TransitionFunction, k_machines: int, n_nodes: int,
-             setting: str, b: int) -> "CodingConfig":
-        domain = EvalDomain.default(machine.field, k_machines, n_nodes)
-        return CodingConfig(machine.field, machine, domain, setting, b)
+    @cached_property
+    def coeffs(self) -> Table:
+        """The N x K matrix C[i][k] = prod_{l != k} (a_i - w_l)/(w_k - w_l).
 
-    @property
-    def k_machines(self) -> int:
-        return len(self.domain.omegas)
-
-    @property
-    def n_nodes(self) -> int:
-        return len(self.domain.alphas)
+        Row i maps plain values at the omegas to node i's stored evaluation.
+        Building it is public setup, charged to no counter.
+        """
+        f, omegas = self.field, self.omegas
+        K = self.k_machines
+        with uncounted():
+            dens = []
+            for k in range(K):
+                d = 1
+                for l in range(K):
+                    if l != k:
+                        d = f.mul(d, f.sub(omegas[k], omegas[l]))
+                dens.append(f.inv(d))
+            rows = []
+            for a in self.alphas:
+                diffs = [f.sub(a, w) for w in omegas]
+                pre = [1] * (K + 1)
+                for k in range(K):
+                    pre[k + 1] = f.mul(pre[k], diffs[k])
+                suf = [1] * (K + 1)
+                for k in range(K - 1, -1, -1):
+                    suf[k] = f.mul(suf[k + 1], diffs[k])
+                rows.append(tuple(f.mul(f.mul(pre[k], suf[k + 1]), dens[k])
+                                  for k in range(K)))
+        return Table(rows)
 
     @property
     def degree_bound(self) -> int:
@@ -169,7 +201,7 @@ def _encode_vectors(vectors, cfg: CodingConfig) -> tuple[tuple[int, ...], ...]:
             raise ValueError("mixed vector dimensions")
         for x in v:
             cfg.field.check(x)
-    rows = cfg.domain.coeffs()
+    rows = cfg.coeffs
     cols = [cfg.field.kernels.matvec(rows, [v[j] for v in vectors])
             for j in range(dim)]
     return tuple(tuple(col[i] for col in cols) for i in range(n))
@@ -231,8 +263,8 @@ class DecodeClaim:
                            tuple(g_values), frozenset(self.tau))
 
 
-def decode_claim(g_values, cfg: CodingConfig, budget: int,
-                 mode: str = "auto") -> DecodeClaim | None:
+def decode_claim(g_values, cfg: CodingConfig,
+                 budget: int) -> DecodeClaim | None:
     """Decode every coordinate of checked result slots (see
     `decode_budget`); None when any coordinate is undecodable."""
     dim = cfg.flat_dim
@@ -240,10 +272,10 @@ def decode_claim(g_values, cfg: CodingConfig, budget: int,
     tau = None
     for j in range(dim):
         values = tuple(None if g is None else g[j] for g in g_values)
-        cw = NoisyCodeword(cfg.field, cfg.domain.alphas, values,
-                           cfg.degree_bound, budget)
+        cw = NoisyCodeword(cfg.field, cfg.alphas, values, cfg.degree_bound,
+                           budget)
         try:
-            res = decode(cw, mode)
+            res = decode(cw, cfg.poly_mode)
         except DecodeFailure:
             return None
         polys.append(res.poly)
@@ -251,22 +283,21 @@ def decode_claim(g_values, cfg: CodingConfig, budget: int,
     width = cfg.degree_bound + 1
     coeffs = tuple(tuple(p.coeffs) + (0,) * (width - len(p.coeffs))
                    for p in polys)
-    per = [multipoint_eval(p, list(cfg.domain.omegas), mode) for p in polys]
+    per = [multipoint_eval(p, list(cfg.omegas), cfg.poly_mode)
+           for p in polys]
     evals = tuple(tuple(per[j][mk] for j in range(dim))
                   for mk in range(cfg.k_machines))
     return DecodeClaim(tuple(sorted(tau)), coeffs, evals)
 
 
-def decode_round(g_values, cfg: CodingConfig,
-                 mode: str = "auto") -> RoundResult:
+def decode_round(g_values, cfg: CodingConfig) -> RoundResult:
     """Recover next states and outputs from noisy per-node results.
 
     ``g_values[i]`` is node i's broadcast vector or None if nothing usable
     arrived. Missing slots consume error budget here because under bounded
     delay an honest node's message cannot be absent; callers in the
     eventually-synchronous setting instead pass the first N - b arrivals
-    and None elsewhere, which this same arithmetic accepts. ``mode`` picks
-    the polynomial arithmetic route.
+    and None elsewhere, which this same arithmetic accepts.
     """
     n = cfg.n_nodes
     if len(g_values) != n:
@@ -274,7 +305,7 @@ def decode_round(g_values, cfg: CodingConfig,
     g_values, budget, violation = decode_budget(g_values, cfg)
     if violation is not None:
         return RoundResult.failed(g_values, violation)
-    claim = decode_claim(g_values, cfg, budget, mode)
+    claim = decode_claim(g_values, cfg, budget)
     if claim is None:
         return RoundResult.failed(g_values, DECODE_FAILURE)
     return claim.round_result(g_values, cfg)

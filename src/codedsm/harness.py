@@ -109,6 +109,14 @@ def compute_metrics(result: ExperimentResult,
 
 SWEEP_STRATEGIES = ("withhold", "corrupt", "collude")
 SWEEP_ROUNDS = 2   # sampled (states, commands) trials per placement
+SWEEP_MAX_NODES = 20   # placements grow as 2^N
+
+
+def _check_sweepable(n: int) -> None:
+    """Refuse a deployment too large for the exhaustive placement search."""
+    if n > SWEEP_MAX_NODES:
+        raise ConfigurationError(f"exhaustive placement search is limited "
+                                 f"to {SWEEP_MAX_NODES} nodes")
 
 
 @dataclass(frozen=True)
@@ -135,9 +143,7 @@ def sweep_security(config: ExperimentConfig) -> SweepReport:
     most its decoder masks.
     """
     n = config.n_nodes
-    if n > 20:
-        raise ConfigurationError(
-            "exhaustive placement search is limited to 20 nodes")
+    _check_sweepable(n)
     machine, k, _, d = derive_sizes(config)
     # replication takes no budget
     layout = deployment(config, machine, k,
@@ -169,7 +175,7 @@ def sweep_security(config: ExperimentConfig) -> SweepReport:
                                        "clause": found[0]["clause"],
                                        "round": trial}
                             return SweepReport(b - 1, witness)
-    return SweepReport(n_nodes, None)
+    return SweepReport(n, None)
 
 
 # ---------------------------------------------------------------------------
@@ -224,12 +230,13 @@ def build_parser() -> argparse.ArgumentParser:
                            help="comma-separated protocols, one CSV row each")
         _add_config_flags(p, skip=("n",) if p is scale else (), which=which)
         p.add_argument("--sweep-beta", action="store_true",
-                       help="search for the breaking fault count (N <= 20)")
+                       help="search for the breaking fault count "
+                            f"(N <= {SWEEP_MAX_NODES})")
         p.add_argument("--out", type=Path, required=True,
                        help="output directory for CSV and logs")
     sweep = sub.add_parser(
         "sweep", help="find each deployment's breaking fault count by "
-                      "exhaustive attack (N <= 20)")
+                      f"exhaustive attack (N <= {SWEEP_MAX_NODES})")
     # parsed after the flags, so a flag the sweep does not take is
     # reported as such, not as a bad deployment
     sweep.add_argument("deployments", nargs="+", metavar="protocol:N:K[:d]")
@@ -327,6 +334,11 @@ def run_cli(argv=None) -> int:
     try:
         configs = [cfg for fields in sizes
                    for cfg in _run_configs(args, **fields)]
+        # refuse every row before any row runs
+        for cfg in configs:
+            deployment(cfg, *derive_sizes(cfg)[:3])
+            if args.sweep_beta:
+                _check_sweepable(cfg.n_nodes)
     except ConfigurationError as exc:
         parser.error(str(exc))
 

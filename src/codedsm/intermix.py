@@ -508,7 +508,6 @@ class Delegation:
     eps: float = 1e-3
     beacon: random.Random | int = 0
     board: CounterBoard | None = None
-    mode: str = "auto"
     worker_strategy_for: object = None   # node -> WorkerStrategy | None
     auditor_strategy_for: object = None  # node -> str | None
 
@@ -583,14 +582,14 @@ def delegated_encode(vectors, dele: Delegation,
     if len(vectors) != k:
         raise ValueError(f"need {k} vectors, got {len(vectors)}")
     dim = len(vectors[0])
-    rows = cfg.domain.coeffs()
-    omegas, alphas = list(cfg.domain.omegas), list(cfg.domain.alphas)
+    rows = cfg.coeffs
+    omegas, alphas = list(cfg.omegas), list(cfg.alphas)
     routes = Memo()
 
     def eval_route(col):
         def build():
-            poly = interpolate(zip(omegas, col), cfg.field, dele.mode)
-            return tuple(multipoint_eval(poly, alphas, dele.mode))
+            poly = interpolate(zip(omegas, col), cfg.field, cfg.poly_mode)
+            return tuple(multipoint_eval(poly, alphas, cfg.poly_mode))
         return routes.get(col, build)
 
     def task(w, strategy, committee):
@@ -662,14 +661,14 @@ def verify_decode_claim(g_values, claim: DecodeClaim, cfg: CodingConfig,
             or len(claim.evals) != cfg.k_machines
             or any(len(e) != dim for e in claim.evals)):
         return False, "malformed decode claim", comparisons
-    alphas_tau = tuple(cfg.domain.alphas[i] for i in claim.tau)
+    alphas_tau = tuple(cfg.alphas[i] for i in claim.tau)
     v_rows = cfg_f.kernels.power_table(alphas_tau, width)
-    o_rows = cfg_f.kernels.power_table(cfg.domain.omegas, width)
+    o_rows = cfg_f.kernels.power_table(cfg.omegas, width)
     strategy = WorkerStrategy(reply=reply) if reply != "truthful" else HONEST
 
     def eval_route(poly, points):
         return routes.get((poly.coeffs, points), lambda: tuple(
-            multipoint_eval(poly, points, dele.mode)))
+            multipoint_eval(poly, points, cfg.poly_mode)))
 
     for j in range(dim):
         b = claim.coeffs[j]
@@ -677,7 +676,7 @@ def verify_decode_claim(g_values, claim: DecodeClaim, cfg: CodingConfig,
         announced = tuple(claim.evals[mk][j] for mk in range(cfg.k_machines))
         poly = DensePoly(cfg_f, b)
         for rows, target, points in ((v_rows, agreed, alphas_tau),
-                                     (o_rows, announced, cfg.domain.omegas)):
+                                     (o_rows, announced, cfg.omegas)):
             worker = Worker(cfg_f, rows, b, strategy,
                             claim_fn=lambda t=target: t,
                             board=dele.board, name=f"node{defender}",
@@ -724,8 +723,8 @@ def delegated_decode(g_values, dele: Delegation) -> DelegationOutcome:
     routes = Memo()
 
     def honest_claim():
-        return routes.get("decode", lambda: decode_claim(
-            g_values, cfg, budget, dele.mode))
+        return routes.get("decode",
+                          lambda: decode_claim(g_values, cfg, budget))
 
     def task(w, strategy, committee):
         comparisons = 0

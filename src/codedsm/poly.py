@@ -45,7 +45,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .field import ConfigurationError, Field, Memo, Table, uncounted
+from .field import ConfigurationError, Field, Memo
 
 AUTO_FAST_MIN = 32   # `auto` mode switches to the fast path at this size
 MODES = ("auto", "naive", "fast")
@@ -314,85 +314,3 @@ class DensePoly:
 
     def __repr__(self):
         return f"DensePoly({list(self.coeffs)})"
-
-
-# ---------------------------------------------------------------------------
-# evaluation domains and encoding coefficients
-# ---------------------------------------------------------------------------
-
-class EvalDomain:
-    """The K data points (omegas) and N storage points (alphas) of a code.
-
-    Machine k's plain value sits at omega_k; node i stores the evaluation
-    at alpha_i.  All K+N points must be distinct, which requires the field
-    to have at least K+N elements.
-    """
-
-    def __init__(self, field: Field, omegas: Sequence[int], alphas: Sequence[int]):
-        omegas = tuple(omegas)
-        alphas = tuple(alphas)
-        pts = omegas + alphas
-        for x in pts:
-            field.check(x)
-        if len(set(pts)) != len(pts):
-            raise ConfigurationError("omega and alpha points must all be distinct")
-        if not omegas or not alphas:
-            raise ConfigurationError("need at least one omega and one alpha")
-        self.field = field
-        self.omegas = omegas
-        self.alphas = alphas
-        self._coeffs: Table | None = None
-
-    @classmethod
-    def default(cls, field: Field, K: int, N: int) -> "EvalDomain":
-        """omega_k = k for k in 1..K; alpha_i = K+i for i in 1..N."""
-        if K + N >= field.order:
-            raise ConfigurationError(
-                f"field of order {field.order} is too small for K={K}, N={N}")
-        return cls(field, range(1, K + 1), range(K + 1, K + N + 1))
-
-    @property
-    def K(self) -> int:
-        return len(self.omegas)
-
-    @property
-    def N(self) -> int:
-        return len(self.alphas)
-
-    def coeffs(self) -> Table:
-        """The N x K matrix C with C[i][k] = prod_{l != k} (a_i - w_l)/(w_k - w_l).
-
-        Row i maps plain values at the omegas to node i's stored evaluation.
-        Computed once and cached; the code matrix never changes mid-run.
-        Construction is public setup and is not charged to any counter.
-        """
-        if self._coeffs is None:
-            with uncounted():
-                self._coeffs = Table(self._build_coeffs())
-        return self._coeffs
-
-    def _build_coeffs(self) -> list[tuple[int, ...]]:
-        f = self.field
-        K = self.K
-        dens = []
-        for k in range(K):
-            d = 1
-            for l in range(K):
-                if l != k:
-                    d = f.mul(d, f.sub(self.omegas[k], self.omegas[l]))
-            dens.append(f.inv(d))
-        rows = []
-        for a in self.alphas:
-            diffs = [f.sub(a, w) for w in self.omegas]
-            pre = [1] * (K + 1)
-            for k in range(K):
-                pre[k + 1] = f.mul(pre[k], diffs[k])
-            suf = [1] * (K + 1)
-            for k in range(K - 1, -1, -1):
-                suf[k] = f.mul(suf[k + 1], diffs[k])
-            rows.append(tuple(f.mul(f.mul(pre[k], suf[k + 1]), dens[k])
-                              for k in range(K)))
-        return rows
-
-    def __repr__(self):
-        return f"EvalDomain(K={self.K}, N={self.N}, field={self.field!r})"

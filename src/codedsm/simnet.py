@@ -333,6 +333,8 @@ class ExperimentConfig:
                 f"poly_mode must be one of {POLY_MODES}")
         if self.rounds < 1 or self.n_nodes < 1:
             raise ConfigurationError("need at least one round and one node")
+        if not 0 < self.eps < 1:
+            raise ConfigurationError(f"eps must be in (0,1), got {self.eps}")
         if self.delegate and self.channel != "broadcast":
             raise ConfigurationError(
                 "delegated verification requires the broadcast channel")
@@ -375,6 +377,9 @@ class ExperimentConfig:
                 raise ConfigurationError(
                     f"line {lineno}: expected key = value, got {raw!r}")
             key, val = (s.strip() for s in line.split("=", 1))
+            if key in kv:
+                raise ConfigurationError(
+                    f"line {lineno}: key {key!r} repeats line {kv[key][0]}")
             kv[key] = (lineno, val)
         by_key = {c.key: c for c in CONFIG_KEYS}
         unknown = set(kv) - set(by_key)
@@ -593,8 +598,8 @@ def deployment(config: ExperimentConfig, machine, k: int, b: int):
     """The coding of ``k`` machines for ``b`` faults, or their replica
     placement, that ``config`` runs."""
     if config.protocol == "csm":
-        return CodingConfig.make(machine, k, config.n_nodes, config.setting,
-                                 b=b)
+        return CodingConfig(machine, k, config.n_nodes, config.setting, b,
+                            config.poly_mode)
     return ReplicationConfig(machine, config.protocol, config.n_nodes, k,
                              config.setting)
 
@@ -622,7 +627,6 @@ def _coded_rounds(config, coding, adversary, log, board, beacon, states):
     if config.delegate:
         dele = Delegation(
             coding, eps=config.eps, beacon=beacon, board=board,
-            mode=config.poly_mode,
             worker_strategy_for=adversary.worker_strategy,
             auditor_strategy_for=adversary.auditor_policy)
     equivocating = (adversary.strategy == "equivocate"
@@ -658,8 +662,8 @@ def _coded_rounds(config, coding, adversary, log, board, beacon, states):
                 return [delegated_decode(views[0], dele).value] * n
             decoded = Memo()
             with board.scope("net", "psi"):
-                return [decoded.get(id(v), lambda v=v: decode_round(
-                            v, coding, config.poly_mode)) for v in views]
+                return [decoded.get(id(v), lambda v=v: decode_round(v, coding))
+                        for v in views]
 
         if dele is not None:
             enc = delegated_encode(commands, dele, phase="rho")

@@ -106,14 +106,14 @@ def test_criterion_1_sync_threshold_sharpness():
                     return correct
 
                 for b in range(b_max + 1):
-                    coding = CodingConfig.make(mach, k, n, "sync", b=b)
+                    coding = CodingConfig(mach, k, n, "sync", b=b)
                     for _ in range(2):
                         assert one_round(coding, b, "mix"), \
                             (n, d, k, b, "decode error within threshold")
                         rounds_clean += 1
                 # one fault beyond the bound must break the round, by
                 # silence or by corruption
-                deployment = CodingConfig.make(mach, k, n, "sync", b=b_max)
+                deployment = CodingConfig(mach, k, n, "sync", b=b_max)
                 for attack in ("withhold", "corrupt"):
                     assert not one_round(deployment, b_max + 1, attack), \
                         (n, d, k, b_max + 1, attack, "survived overload")
@@ -255,7 +255,7 @@ def _random_decode_instance(rng, mach):
     n = rng.randrange(n_min, n_min + 9)
     b_max = (n - d * (k - 1) - 1) // 2
     b = rng.randrange(b_max + 1)
-    coding = CodingConfig.make(mach, k, n, "sync", b=b)
+    coding = CodingConfig(mach, k, n, "sync", b=b)
     states = tuple(mach.random_state(rng) for _ in range(k))
     commands = tuple(mach.random_command(rng) for _ in range(k))
     g = [execute_local(s, x, coding) for s, x in

@@ -31,7 +31,7 @@ F97 = PrimeField(97)
 
 def small_cfg():
     # product machine, K=2 machines on N=5 nodes, one tolerated fault
-    return CodingConfig.make(product_machine(F11), 2, 5, "sync", b=1)
+    return CodingConfig(product_machine(F11), 2, 5, "sync", b=1)
 
 
 # ---------------------------------------------------------------------------
@@ -40,7 +40,7 @@ def small_cfg():
 
 def test_encode_states_running_example():
     cfg = small_cfg()
-    assert cfg.domain.omegas == (1, 2) and cfg.domain.alphas == (3, 4, 5, 6, 7)
+    assert cfg.omegas == (1, 2) and cfg.alphas == (3, 4, 5, 6, 7)
     coded = encode_states(((4,), (7,)), cfg)
     assert coded == ((10,), (2,), (5,), (8,), (0,))
 
@@ -52,7 +52,7 @@ def test_encode_commands_running_example():
 
 
 def test_single_machine_encoding_degenerates_to_replication():
-    cfg = CodingConfig.make(bank_machine(F11), 1, 5, "sync", b=2)
+    cfg = CodingConfig(bank_machine(F11), 1, 5, "sync", b=2)
     assert encode_states(((9,),), cfg) == ((9,),) * 5
 
 
@@ -86,12 +86,12 @@ def test_binary_field_encoding_matches_interpolation():
     from codedsm.poly import interpolate
     gf = BinaryField(5)
     m = bank_machine(gf)
-    cfg = CodingConfig.make(m, 3, 9, "sync", b=2)
+    cfg = CodingConfig(m, 3, 9, "sync", b=2)
     rng = random.Random(7)
     states = [(gf.rand(rng),) for _ in range(3)]
     coded = encode_states(states, cfg)
-    u = interpolate([(w, s[0]) for w, s in zip(cfg.domain.omegas, states)], gf)
-    assert coded == tuple((u(a),) for a in cfg.domain.alphas)
+    u = interpolate([(w, s[0]) for w, s in zip(cfg.omegas, states)], gf)
+    assert coded == tuple((u(a),) for a in cfg.alphas)
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +166,7 @@ def test_missing_slot_consumes_budget_when_synchronous():
 
 def test_partially_synchronous_decoding_from_first_arrivals():
     # bank machine, K=2, N=7: 3b+1 <= 7-1 allows b=1
-    cfg = CodingConfig.make(bank_machine(F11), 2, 7, "psync", b=1)
+    cfg = CodingConfig(bank_machine(F11), 2, 7, "psync", b=1)
     rng = random.Random(11)
     states = [(F11.rand(rng),) for _ in range(2)]
     cmds = [(F11.rand(rng),) for _ in range(2)]
@@ -191,7 +191,7 @@ def test_update_reencodes_decoded_states():
 def test_fixed_point_machine_keeps_coded_state():
     ident = MultiPoly.make(2, {(1, 0): 1})
     m = TransitionFunction(F11, 1, 1, 1, (ident, ident), 1)
-    cfg = CodingConfig.make(m, 3, 7, "sync", b=1)
+    cfg = CodingConfig(m, 3, 7, "sync", b=1)
     states = ((3,), (6,), (9,))
     s = encode_states(states, cfg)
     x = encode_commands(((1,), (2,), (3,)), cfg)
@@ -201,7 +201,7 @@ def test_fixed_point_machine_keeps_coded_state():
 
 
 def test_two_round_trajectory_matches_uncoded():
-    cfg = CodingConfig.make(qmix_machine(F97), 3, 12, "sync", b=2)
+    cfg = CodingConfig(qmix_machine(F97), 3, 12, "sync", b=2)
     rng = random.Random(42)
     states = [cfg.machine.random_state(rng) for _ in range(3)]
     coded = encode_states(states, cfg)
@@ -302,15 +302,17 @@ def test_max_machines_rejects_bad_fractions():
 
 def test_config_validation():
     with pytest.raises(ConfigurationError):
-        CodingConfig.make(product_machine(F11), 2, 5, "sync", b=2)
+        CodingConfig(product_machine(F11), 2, 5, "sync", b=2)
     with pytest.raises(ConfigurationError):
-        CodingConfig.make(bank_machine(F11), 2, 7, "psync", b=2)
+        CodingConfig(bank_machine(F11), 2, 7, "psync", b=2)
     cfg = small_cfg()
     from fractions import Fraction
     assert cfg.degree_bound == 2 and cfg.fault_fraction == Fraction(1, 5)
-    m97 = product_machine(F97)
-    with pytest.raises(ConfigurationError):
-        CodingConfig(F11, m97, cfg.domain, "sync", 1)
+
+
+def test_unknown_poly_mode_is_refused():
+    with pytest.raises(ConfigurationError, match="poly_mode"):
+        CodingConfig(product_machine(F11), 2, 5, "sync", 1, "bogus")
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from codedsm.harness import (
     CSV_COLUMNS,
     CSV_SCHEMA,
     MetricsRecord,
+    SweepReport,
     build_parser,
     compute_metrics,
     read_csv,
@@ -80,6 +81,18 @@ def test_delegated_sweep_reports_the_direct_sweep(setting, beta):
 def test_sweep_refuses_large_networks():
     with pytest.raises(ConfigurationError, match="20 nodes"):
         sweep_security(ExperimentConfig("full", 21, 1))
+
+
+def test_sweep_without_a_witness_reports_every_node(monkeypatch, capsys):
+    # no strategy in the catalog breaks anything, so no b up to N does
+    monkeypatch.setattr(harness, "SWEEP_STRATEGIES", ("none",))
+    config = ExperimentConfig(protocol="full", n_nodes=3, k_machines=1)
+    assert sweep_security(config) == SweepReport(3, None)
+    assert run_cli(["sweep", "full:3:1"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "full N=3 K=1 d=1: beta = 3",
+        "  no violating run found up to b = N",
+    ]
 
 
 def test_design_tolerance_formulas():
@@ -397,6 +410,23 @@ def test_cli_refuses_fault_budget_outside_node_count(tmp_path, flags):
         run_cli(["run", "--protocol", "full", "--n", "10", *flags,
                  "--out", str(tmp_path)])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--compare", "full,partial", "--n", "10", "--mu", "1/10",
+     "--d", "1", "--rounds", "2"],
+    ["run", "--compare", "full,csm", "--n", "12", "--mu", "1/4", "--d", "1",
+     "--delegate", "--eps", "7"],
+    ["scale", "8", "24", "--protocol", "full", "--k", "1", "--sweep-beta"],
+])
+def test_cli_refuses_every_row_before_any_row_runs(tmp_path, argv):
+    # the first row would run; a later one cannot
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        run_cli([*argv, "--out", str(out)])
+    assert exc.value.code == 2
+    assert not list(out.glob("*.jsonl"))
+    assert not (out / "metrics.csv").exists()
 
 
 def test_security_sweep_reports_breaking_points():

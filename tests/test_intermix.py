@@ -364,8 +364,8 @@ def test_power_rows_table():
 # ---------------------------------------------------------------------------
 
 def fresh_cfg(k=3, n=12, fraction=0.25):
-    return CodingConfig.make(product_machine(PrimeField((1 << 31) - 1)),
-                             k, n, "sync", b=int(fraction * n))
+    return CodingConfig(product_machine(PrimeField((1 << 31) - 1)),
+                        k, n, "sync", b=int(fraction * n))
 
 
 def run_one_round(cfg, rng):
@@ -509,8 +509,8 @@ def test_fabricated_decode_claims_rejected():
 
 
 def test_delegated_single_machine_edge():
-    cfg = CodingConfig.make(product_machine(PrimeField((1 << 31) - 1)),
-                            1, 4, "sync", b=1)
+    cfg = CodingConfig(product_machine(PrimeField((1 << 31) - 1)),
+                       1, 4, "sync", b=1)
     rng = random.Random(35)
     _, _, g = run_one_round(cfg, rng)
     g[2] = tuple(cfg.field.add(v, 9) for v in g[2])
@@ -550,9 +550,9 @@ def _count_routes(monkeypatch):
         calls["multipoint_eval", poly.coeffs, tuple(xs)] += 1
         return real["multipoint_eval"](poly, xs, mode)
 
-    def decode_claim(g_values, cfg, budget, mode):
+    def decode_claim(g_values, cfg, budget):
         calls["decode_claim", tuple(g_values), budget] += 1
-        return real["decode_claim"](g_values, cfg, budget, mode)
+        return real["decode_claim"](g_values, cfg, budget)
 
     for name, fn in (("interpolate", interpolate),
                      ("multipoint_eval", multipoint_eval),
@@ -570,7 +570,7 @@ def test_each_delegated_route_runs_once_per_call(monkeypatch, mode):
     calls = _count_routes(monkeypatch)
     direct = {"delegated_encode": encode_commands,
               "delegated_update": update_coded_states,
-              "delegated_decode": lambda g, cfg: decode_round(g, cfg, mode)}
+              "delegated_decode": decode_round}
     seen = Counter()
     reelections = 0
 
@@ -584,7 +584,7 @@ def test_each_delegated_route_runs_once_per_call(monkeypatch, mode):
             assert calls and max(calls.values()) == 1, (name, calls)
             seen.update(key[0] for key in calls)
             reelections += len(out.rejected_workers)
-            assert out.accepted
+            assert out.accepted and dele.cfg.poly_mode == mode
             with uncounted():
                 assert out.value == direct[name](values, dele.cfg)
             return out

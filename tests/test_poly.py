@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from codedsm.csm import CodingConfig
 from codedsm.field import (
     POINT_SET_CACHE_SIZE,
     BinaryField,
@@ -15,9 +16,9 @@ from codedsm.field import (
     PrimeKernels,
     counting,
 )
+from codedsm.machine import bank_machine
 from codedsm.poly import (
     DensePoly,
-    EvalDomain,
     SubproductTree,
     _tree,
     interpolate,
@@ -53,16 +54,23 @@ def test_multipoint_quadratic():
     assert multipoint_eval(p, [3, 4, 5, 6, 7]) == [7, 10, 8, 1, 0]
 
 
+def _deployment(fld, K, N):
+    return CodingConfig(bank_machine(fld), K, N, "sync", 0)
+
+
 def test_lagrange_coeff_rows():
-    dom = EvalDomain(F11, omegas=(1, 2), alphas=(3, 4, 5, 6, 7))
-    C = dom.coeffs()
+    cfg = _deployment(F11, 2, 5)
+    counter = OpCounter()
+    with counting(counter):
+        C = cfg.coeffs
     assert C == ((10, 2), (9, 3), (8, 4), (7, 5), (6, 6))
+    # public setup: charged to no counter, built once and kept
+    assert counter.total() == 0 and cfg.coeffs is C
 
 
 def test_coeff_row_reproduces_evaluation():
     # row for alpha=4 applied to values (4, 7) gives u(4) where u = 3z+1
-    dom = EvalDomain(F11, omegas=(1, 2), alphas=(3, 4, 5, 6, 7))
-    row = dom.coeffs()[1]
+    row = _deployment(F11, 2, 5).coeffs[1]
     val = F11.add(F11.mul(row[0], 4), F11.mul(row[1], 7))
     assert val == 2
     assert val == DensePoly(F11, [1, 3])(4)
@@ -71,8 +79,8 @@ def test_coeff_row_reproduces_evaluation():
 def test_coeff_matrix_equals_interpolate_then_evaluate():
     rng = random.Random(11)
     for K, N in ((2, 5), (3, 7), (5, 9)):
-        dom = EvalDomain.default(F97, K, N)
-        C = dom.coeffs()
+        dom = _deployment(F97, K, N)
+        C = dom.coeffs
         vals = [F97.rand(rng) for _ in range(K)]
         u = interpolate(list(zip(dom.omegas, vals)), F97)
         direct = multipoint_eval(u, dom.alphas)
@@ -93,11 +101,11 @@ def test_duplicate_points_rejected():
 
 
 def test_domain_validation():
+    with pytest.raises(ConfigurationError, match="too small"):
+        _deployment(F11, 5, 6)  # 11 points needed, order 11 too small
     with pytest.raises(ConfigurationError):
-        EvalDomain(F11, omegas=(1, 2), alphas=(2, 3))  # overlap
-    with pytest.raises(ConfigurationError):
-        EvalDomain.default(F11, 5, 6)  # 11 points needed, order 11 too small
-    dom = EvalDomain.default(F11, 2, 5)
+        _deployment(F11, 0, 5)
+    dom = _deployment(F11, 2, 5)
     assert dom.omegas == (1, 2) and dom.alphas == (3, 4, 5, 6, 7)
 
 

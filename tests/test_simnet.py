@@ -552,6 +552,18 @@ def test_every_config_field_has_one_table_row():
     assert len({c.key for c in CONFIG_KEYS}) == len(CONFIG_KEYS)
 
 
+def test_config_parse_refuses_a_repeated_key():
+    with pytest.raises(ConfigurationError,
+                       match="line 4: key 'seed' repeats line 3"):
+        ExperimentConfig.parse("protocol = csm\nn = 12\nseed = 3\nseed = 9\n")
+
+
+@pytest.mark.parametrize("eps", [0, 1, 7, -0.5])
+def test_config_refuses_eps_outside_the_unit_interval(eps):
+    with pytest.raises(ConfigurationError, match="eps"):
+        _cfg(eps=eps)
+
+
 def test_config_parse_refuses_zero_rounds():
     with pytest.raises(ConfigurationError, match="one round"):
         ExperimentConfig.parse("protocol = csm\nn = 4\nrounds = 0\n")
