@@ -106,7 +106,7 @@ class CodingConfig:
             raise ConfigurationError("need at least one machine and node")
         if self.poly_mode not in MODES:
             raise ConfigurationError(f"poly_mode must be one of {MODES}")
-        check_budget(n, k, self.machine.total_degree(), self.b, self.setting)
+        check_budget(n, k, self.machine.degree, self.b, self.setting)
         object.__setattr__(self, "field", fld)
         object.__setattr__(self, "omegas", tuple(range(1, k + 1)))
         object.__setattr__(self, "alphas", tuple(range(k + 1, k + n + 1)))
@@ -143,7 +143,7 @@ class CodingConfig:
 
     @property
     def degree_bound(self) -> int:
-        return self.machine.total_degree() * (self.k_machines - 1)
+        return self.machine.degree * (self.k_machines - 1)
 
     @property
     def fault_fraction(self) -> Fraction:

@@ -695,9 +695,6 @@ class Field:
     def rand(self, rng: random.Random) -> int:
         return rng.randrange(self.order)
 
-    def embed_bit(self, b: int) -> int:
-        raise ConfigurationError("bit embedding requires a binary extension field")
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Field) and self._key() == other._key()
 
@@ -924,22 +921,11 @@ class BinaryField(Field):
             a ^= red << (a.bit_length() - m - 1)
         return a
 
-    def embed_bit(self, b: int) -> int:
-        """Map a bit to its field embedding: 0 -> all-zero word, 1 -> 0...01."""
-        if b not in (0, 1):
-            raise ValueError(f"bit must be 0 or 1, got {b!r}")
-        return b
-
     def _key(self):
         return ("binary", self.m)
 
     def __repr__(self):
         return f"BinaryField(m={self.m})"
-
-
-# A tiny prime field for worked examples.
-def f11() -> PrimeField:
-    return PrimeField(11)
 
 
 def parse_field(spec: str) -> Field:

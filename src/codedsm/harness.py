@@ -97,7 +97,7 @@ def compute_metrics(result: ExperimentResult,
     lam = (k * n * t) / total if result.ok and t and total else 0.0
     if beta is None:
         beta = layout.beta
-    return MetricsRecord(cfg.protocol, n, k, layout.machine.total_degree(),
+    return MetricsRecord(cfg.protocol, n, k, layout.machine.degree,
                          cfg.fault_share, cfg.setting, beta, gamma, lam,
                          ops["rho"], ops["psi"], ops["chi"], cfg.seed,
                          len(result.violations), result.ok)
@@ -125,6 +125,18 @@ class SweepReport:
     witness: dict | None   # violating run at beta + 1, if one was found
 
 
+def sweep_layout(config: ExperimentConfig):
+    """The layout `sweep_security` attacks on the deployment ``config``
+    describes. A coded deployment is built for `csm.max_budget` faults,
+    the most its decoder masks; one whose decoder masks none fails the
+    decoding bound at b = 0."""
+    _check_sweepable(config.n_nodes)
+    machine, k, _ = derive_sizes(config)
+    # replication takes no budget
+    b = max(0, max_budget(config.n_nodes, k, machine.degree, config.setting))
+    return deployment(config, machine, k, b)
+
+
 def sweep_security(config: ExperimentConfig) -> SweepReport:
     """Find the largest fault count no cataloged attack breaks on the
     deployment ``config`` describes.
@@ -139,15 +151,11 @@ def sweep_security(config: ExperimentConfig) -> SweepReport:
     experiment's round is. The sweep places its own faults and plays its
     own catalog, so it ignores the config's fault budget and adversary,
     except that a budget sizes K where the config gives none, as in the
-    run. A coded deployment is built for `csm.max_budget` faults, the
-    most its decoder masks.
+    run. It attacks the `sweep_layout`.
     """
     n = config.n_nodes
-    _check_sweepable(n)
-    machine, k, _, d = derive_sizes(config)
-    # replication takes no budget
-    layout = deployment(config, machine, k,
-                        max_budget(n, k, d, config.setting))
+    layout = sweep_layout(config)
+    machine, k = layout.machine, layout.k_machines
     states_rng, commands_rng, _, beacon = seed_streams(config.seed)
     trials = [(tuple(machine.random_state(states_rng) for _ in range(k)),
                tuple(machine.random_command(commands_rng) for _ in range(k)))
@@ -294,13 +302,16 @@ def _sweep_cli(parser, args) -> int:
         deployments = [_parse_deployment(t) for t in args.deployments]
     except ConfigurationError as exc:
         parser.error(str(exc))
-    for fields in deployments:
+    # refuse every deployment before the first sweep
+    sweeps = []
+    for token, fields in zip(args.deployments, deployments):
         try:
             cfg = _config_from_args(args, **fields)
-            d = derive_sizes(cfg)[3]
-            report = sweep_security(cfg)
+            sweeps.append((cfg, sweep_layout(cfg).machine.degree))
         except ConfigurationError as exc:
-            parser.error(str(exc))
+            parser.error(f"{token}: {exc}")
+    for cfg, d in sweeps:
+        report = sweep_security(cfg)
         print(f"{cfg.protocol} N={cfg.n_nodes} K={cfg.k_machines} d={d}: "
               f"beta = {report.beta}")
         if report.witness:
@@ -336,7 +347,7 @@ def run_cli(argv=None) -> int:
                    for cfg in _run_configs(args, **fields)]
         # refuse every row before any row runs
         for cfg in configs:
-            deployment(cfg, *derive_sizes(cfg)[:3])
+            deployment(cfg, *derive_sizes(cfg))
             if args.sweep_beta:
                 _check_sweepable(cfg.n_nodes)
     except ConfigurationError as exc:

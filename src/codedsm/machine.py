@@ -10,14 +10,56 @@ on.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
+from functools import cached_property
 
-from .boolfunc import (
-    MultiPoly,
-    TruthTable,
-    boolean_to_polynomial,
-)
 from .field import BinaryField, ConfigurationError, Field
+
+
+@dataclass(frozen=True)
+class MultiPoly:
+    """Sparse multivariate polynomial.
+
+    ``terms`` maps an exponent tuple (one entry per variable) to a nonzero
+    canonical coefficient. Coefficients are interpreted in whatever field is
+    supplied at evaluation time; constructors are expected to keep them
+    canonical there.
+    """
+
+    arity: int
+    terms: tuple[tuple[tuple[int, ...], int], ...]
+
+    @staticmethod
+    def make(arity: int, term_map: dict[tuple[int, ...], int]) -> "MultiPoly":
+        items = []
+        for exps, coeff in term_map.items():
+            if len(exps) != arity:
+                raise ValueError(f"exponent tuple {exps} has wrong arity")
+            if any(e < 0 for e in exps):
+                raise ValueError("negative exponent")
+            if coeff != 0:
+                items.append((tuple(exps), coeff))
+        items.sort()
+        return MultiPoly(arity, tuple(items))
+
+    @property
+    def total_degree(self) -> int:
+        if not self.terms:
+            return 0
+        return max(sum(exps) for exps, _ in self.terms)
+
+    def eval(self, field: Field, args: list[int] | tuple[int, ...]) -> int:
+        if len(args) != self.arity:
+            raise ValueError(
+                f"expected {self.arity} arguments, got {len(args)}")
+        acc = 0
+        for exps, coeff in self.terms:
+            term = coeff
+            for x, e in zip(args, exps):
+                if e:
+                    term = field.mul(term, field.pow_(x, e))
+            acc = field.add(acc, term)
+        return acc
 
 
 @dataclass(frozen=True)
@@ -29,7 +71,6 @@ class TransitionFunction:
     cmd_dim: int
     out_dim: int
     coords: tuple[MultiPoly, ...]  # state coordinates first, then outputs
-    degree: int = dc_field(default=0)
 
     def __post_init__(self):
         if self.state_dim < 1 or self.cmd_dim < 1 or self.out_dim < 0:
@@ -45,17 +86,11 @@ class TransitionFunction:
                     f"coordinate arity {c.arity}, expected {arity}")
             for _, coeff in c.terms:
                 self.field.check(coeff)
-        actual = max((c.total_degree for c in self.coords), default=0)
-        declared = self.degree if self.degree else max(1, actual)
-        if declared < 1:
-            raise ConfigurationError("degree must be at least 1")
-        if actual > declared:
-            raise ConfigurationError(
-                f"coordinate degree {actual} exceeds declared {declared}")
-        object.__setattr__(self, "degree", declared)
 
-    def total_degree(self) -> int:
-        return self.degree
+    @cached_property
+    def degree(self) -> int:
+        """max(1, the largest coordinate's total degree)."""
+        return max(1, *(c.total_degree for c in self.coords))
 
     def apply(self, state, command) -> tuple[tuple[int, ...], tuple[int, ...]]:
         if len(state) != self.state_dim:
@@ -89,13 +124,13 @@ class TransitionFunction:
 def bank_machine(fld: Field) -> TransitionFunction:
     """Degree-1 running-total machine: next state and output are S + X."""
     s_plus_x = MultiPoly.make(2, {(1, 0): 1, (0, 1): 1})
-    return TransitionFunction(fld, 1, 1, 1, (s_plus_x, s_plus_x), 1)
+    return TransitionFunction(fld, 1, 1, 1, (s_plus_x, s_plus_x))
 
 
 def product_machine(fld: Field) -> TransitionFunction:
     """Degree-2 machine: next state and output are S * X."""
     s_times_x = MultiPoly.make(2, {(1, 1): 1})
-    return TransitionFunction(fld, 1, 1, 1, (s_times_x, s_times_x), 2)
+    return TransitionFunction(fld, 1, 1, 1, (s_times_x, s_times_x))
 
 
 def qmix_machine(fld: Field) -> TransitionFunction:
@@ -109,30 +144,25 @@ def qmix_machine(fld: Field) -> TransitionFunction:
     a2_ax_x = MultiPoly.make(3, {(2, 0, 0): 1, (1, 0, 1): 1, (0, 0, 1): 1})
     b_x2 = MultiPoly.make(3, {(0, 1, 0): 1, (0, 0, 2): 1})
     a_bx = MultiPoly.make(3, {(1, 0, 0): 1, (0, 1, 1): 1})
-    return TransitionFunction(fld, 2, 1, 1, (a2_ax_x, b_x2, a_bx), 2)
+    return TransitionFunction(fld, 2, 1, 1, (a2_ax_x, b_x2, a_bx))
 
 
 def boolcounter_machine(fld: Field) -> TransitionFunction:
-    """Two-bit modulo-4 counter compiled from truth tables.
+    """Two-bit modulo-4 counter over the bits 0 and 1 of a binary field.
 
     State (s1, s0), command bit x: s0 flips when x = 1, s1 absorbs the
-    carry s0 AND x, and the carry is also reported as the output. Runs on
-    any binary extension field via the bit embedding.
+    carry s0 AND x, and the carry is also reported as the output. In
+    characteristic 2, XOR is a + b and AND is a * b on the words 0 and 1,
+    so over (s1, s0, x) the coordinates are s1 + s0 x, s0 + x and s0 x.
+    Over a prime field 1 + 1 is not 0, so the machine refuses one.
     """
     if not isinstance(fld, BinaryField):
         raise ConfigurationError(
             "the bit-counter machine needs a binary extension field")
-    xor2 = boolean_to_polynomial(
-        TruthTable.from_function(2, lambda a, b: a ^ b))
-    and2 = boolean_to_polynomial(
-        TruthTable.from_function(2, lambda a, b: a & b))
-    carry3 = boolean_to_polynomial(
-        TruthTable.from_function(3, lambda s1, s0, x: s1 ^ (s0 & x)))
-    # variable space: (s1, s0, x)
-    s0_next = xor2.remap(3, {0: 1, 1: 2})
-    s1_next = carry3
-    out = and2.remap(3, {0: 1, 1: 2})
-    return TransitionFunction(fld, 2, 1, 1, (s1_next, s0_next, out), 2)
+    s1_next = MultiPoly.make(3, {(1, 0, 0): 1, (0, 1, 1): 1})
+    s0_next = MultiPoly.make(3, {(0, 1, 0): 1, (0, 0, 1): 1})
+    out = MultiPoly.make(3, {(0, 1, 1): 1})
+    return TransitionFunction(fld, 2, 1, 1, (s1_next, s0_next, out))
 
 
 MACHINES = {

@@ -434,17 +434,16 @@ def seed_streams(seed: int):
 
 
 def derive_sizes(config: ExperimentConfig):
-    """The machine ``config`` runs, its machine count K, its fault budget
-    b and the machine's degree d."""
-    machine = make_machine(config.machine_name(),
-                           parse_field(config.field_spec))
+    """The machine ``config`` runs, its machine count K and its fault
+    budget b."""
+    name = config.machine_name()
+    machine = make_machine(name, parse_field(config.field_spec))
     n = config.n_nodes
     frac = config.fault_fraction
-    d = machine.total_degree()
+    d = machine.degree
     if config.degree is not None and config.degree != d:
         raise ConfigurationError(
-            f"machine {machine!r} has degree {d}, config says "
-            f"{config.degree}")
+            f"machine {name!r} has degree {d}, config says {config.degree}")
     b = config.b if config.b is not None else int(frac * n)
     if not 0 <= b <= n:
         raise ConfigurationError(f"fault budget {b} outside 0..{n}")
@@ -454,7 +453,7 @@ def derive_sizes(config: ExperimentConfig):
         k = max_machines(n, Fraction(b, n), d, config.setting)
     else:
         k = 1
-    return machine, k, b, d
+    return machine, k, b
 
 
 def _pick_faulty(n: int, b: int, rng: random.Random) -> frozenset[int]:
@@ -532,7 +531,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     because `consensus_oracle` is an ideal functionality that agrees on
     the submitted commands.
     """
-    machine, k, b, d = derive_sizes(config)
+    machine, k, b = derive_sizes(config)
     init_rng, cmd_rng, adv_seed_rng, beacon = seed_streams(config.seed)
     gst = 0
     if config.setting == "psync":
@@ -544,8 +543,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     log = EventLog()
     board = CounterBoard()
     log.append("header", protocol=config.protocol, n=config.n_nodes, k=k,
-               d=d, field=config.field_spec, setting=config.setting,
-               channel=config.channel, adversary=config.adversary,
+               d=machine.degree, field=config.field_spec,
+               setting=config.setting, channel=config.channel,
+               adversary=config.adversary,
                delegate=config.delegate, rounds=config.rounds,
                seed=config.seed, b=b,
                mu=str(config.fault_share),

@@ -10,12 +10,6 @@ import random
 import time
 from fractions import Fraction
 
-from codedsm.boolfunc import (
-    TruthTable,
-    boolean_to_polynomial,
-    eval_embedded,
-    index_to_bits,
-)
 from codedsm.csm import (
     CodingConfig,
     decode_claim,
@@ -46,7 +40,12 @@ from codedsm.intermix import (
     run_session,
     verify_decode_claim,
 )
-from codedsm.machine import MACHINES, make_machine
+from codedsm.machine import (
+    MACHINES,
+    MultiPoly,
+    boolcounter_machine,
+    make_machine,
+)
 from codedsm.simnet import ExperimentConfig, run_experiment
 
 FBIG = parse_field("prime:2147483647")
@@ -250,7 +249,7 @@ def test_criterion_5_cost_bound():
 
 def _random_decode_instance(rng, mach):
     k = rng.randrange(1, 5)
-    d = mach.total_degree()
+    d = mach.degree
     n_min = d * (k - 1) + 2
     n = rng.randrange(n_min, n_min + 9)
     b_max = (n - d * (k - 1) - 1) // 2
@@ -377,26 +376,48 @@ def test_criterion_7_throughput_trend(tmp_path):
 # 8. Boolean functions polynomialize exactly, embedded and plain
 # ---------------------------------------------------------------------------
 
+def _bits(idx: int, arity: int) -> tuple[int, ...]:
+    """The input whose bits, read left to right, spell ``idx``."""
+    return tuple((idx >> (arity - 1 - i)) & 1 for i in range(arity))
+
+
+def _anf(arity: int, code: int) -> MultiPoly:
+    """The algebraic normal form of the table whose output at ``_bits(idx)``
+    is bit idx of ``code``: the Moebius transform over GF(2) turns the
+    table into the coefficient of each monomial, indexed the same way."""
+    coeffs = [(code >> idx) & 1 for idx in range(1 << arity)]
+    for i in range(arity):
+        for idx in range(1 << arity):
+            if (idx >> i) & 1:
+                coeffs[idx] ^= coeffs[idx ^ (1 << i)]
+    return MultiPoly.make(arity, {_bits(idx, arity): c
+                                  for idx, c in enumerate(coeffs)})
+
+
+def _table(arity: int, fn) -> int:
+    return sum(fn(*_bits(idx, arity)) << idx for idx in range(1 << arity))
+
+
 def test_criterion_8_boolean_polynomialization():
     start = time.time()
-    f2 = BinaryField(1)
-    embeds = [BinaryField(m) for m in (2, 4, 8)]
+    fields = [BinaryField(m) for m in (1, 2, 4, 8)]
     tables = 0
     for arity in (2, 3):
         for code in range(1 << (1 << arity)):
-            bits = tuple((code >> i) & 1 for i in range(1 << arity))
-            table = TruthTable(arity, bits)
-            poly = boolean_to_polynomial(table)
+            poly = _anf(arity, code)
             for idx in range(1 << arity):
-                inp = index_to_bits(idx, arity)
-                want = table.evaluate(inp)
-                assert poly.eval(f2, [f2.embed_bit(b) for b in inp]) == \
-                    f2.embed_bit(want)
-                for fld in embeds:
-                    assert eval_embedded(poly, inp, fld) == \
-                        fld.embed_bit(want), (arity, code, inp, fld)
+                inp, want = _bits(idx, arity), (code >> idx) & 1
+                for fld in fields:
+                    # bits embed as the words 0 and 1
+                    assert poly.eval(fld, inp) == want, \
+                        (arity, code, inp, fld)
             tables += 1
     assert tables == 16 + 256
+    carry = _table(3, lambda s1, s0, x: s1 ^ (s0 & x))
+    flip = _table(3, lambda s1, s0, x: s0 ^ x)
+    out = _table(3, lambda s1, s0, x: s0 & x)
+    assert boolcounter_machine(BinaryField(8)).coords == (
+        _anf(3, carry), _anf(3, flip), _anf(3, out))
     _pass(8, f"all {tables} Boolean tables exact over GF(2) and "
              f"GF(2^m), m in 2,4,8 ({time.time() - start:.1f}s)")
 

@@ -4,7 +4,6 @@ import random
 
 import pytest
 
-from codedsm.boolfunc import MultiPoly
 from codedsm.csm import (
     CodingConfig,
     check_budget,
@@ -19,6 +18,7 @@ from codedsm.csm import (
 )
 from codedsm.field import ConfigurationError, PrimeField
 from codedsm.machine import (
+    MultiPoly,
     TransitionFunction,
     bank_machine,
     product_machine,
@@ -190,7 +190,7 @@ def test_update_reencodes_decoded_states():
 
 def test_fixed_point_machine_keeps_coded_state():
     ident = MultiPoly.make(2, {(1, 0): 1})
-    m = TransitionFunction(F11, 1, 1, 1, (ident, ident), 1)
+    m = TransitionFunction(F11, 1, 1, 1, (ident, ident))
     cfg = CodingConfig(m, 3, 7, "sync", b=1)
     states = ((3,), (6,), (9,))
     s = encode_states(states, cfg)

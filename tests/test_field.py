@@ -48,18 +48,6 @@ def test_gf8_reduction_example():
     assert GF8.mul(0b010, 0b100) == 0b011
 
 
-def test_bit_embedding_words():
-    assert GF256.embed_bit(0) == 0
-    assert GF256.embed_bit(1) == 1
-    with pytest.raises(ValueError):
-        GF256.embed_bit(2)
-
-
-def test_embedding_requires_binary_field():
-    with pytest.raises(ConfigurationError):
-        F11.embed_bit(1)
-
-
 # ---------------------------------------------------------------------------
 # axioms and inverses
 # ---------------------------------------------------------------------------
@@ -100,12 +88,10 @@ def test_inverse_of_zero_raises():
 
 @given(a=st.integers(0, 255), b=st.integers(0, 255))
 def test_embedding_is_a_boolean_homomorphism(a, b):
-    # restrict to single bits: embed(x xor y) = embed(x)+embed(y),
-    # embed(x and y) = embed(x)*embed(y)
+    # bits embed as the words 0 and 1, where add is XOR and mul is AND
     x, y = a & 1, b & 1
-    ex, ey = GF256.embed_bit(x), GF256.embed_bit(y)
-    assert GF256.add(ex, ey) == GF256.embed_bit(x ^ y)
-    assert GF256.mul(ex, ey) == GF256.embed_bit(x & y)
+    assert GF256.add(x, y) == x ^ y
+    assert GF256.mul(x, y) == x & y
 
 
 # ---------------------------------------------------------------------------

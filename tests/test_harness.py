@@ -98,7 +98,7 @@ def test_sweep_without_a_witness_reports_every_node(monkeypatch, capsys):
 def test_design_tolerance_formulas():
     def beta(protocol, n, k, setting="sync", b=0):
         config = ExperimentConfig(protocol, n, k, setting=setting)
-        machine, k, _, _ = derive_sizes(config)
+        machine, k, _ = derive_sizes(config)
         return deployment(config, machine, k, b).beta
 
     assert beta("full", 5, 3) == 2
@@ -493,6 +493,25 @@ def test_sweep_parses_every_deployment_before_sweeping(capsys):
     assert exc.value.code == 2
     out, err = capsys.readouterr()
     assert out == "" and "bad value 'ten' for n" in err
+
+
+def test_sweep_refuses_an_undecodable_deployment_before_sweeping(capsys):
+    # N=5, K=5, d=2: N - d(K-1) = -3, so the decoder masks no fault
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["sweep", "full:5:3", "csm:5:5:2"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "csm:5:5:2" in err and "decoding bound" in err
+
+
+def test_degree_mismatch_names_the_machine(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["run", "--protocol", "csm", "--machine", "qmix", "--d", "1",
+                 "--n", "8", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "machine 'qmix' has degree 2, config says 1" in \
+        capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flags", [["--mu", "1/4"], ["--b", "2"],

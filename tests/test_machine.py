@@ -4,10 +4,10 @@ import random
 
 import pytest
 
-from codedsm.boolfunc import MultiPoly
 from codedsm.field import BinaryField, ConfigurationError, PrimeField
 from codedsm.machine import (
     MACHINES,
+    MultiPoly,
     TransitionFunction,
     bank_machine,
     boolcounter_machine,
@@ -26,14 +26,14 @@ def test_bank_machine_is_linear_accumulator():
     m = bank_machine(F11)
     nxt, out = m.apply((4,), (2,))
     assert nxt == (6,) and out == (6,)
-    assert m.total_degree() == 1
+    assert m.degree == 1
 
 
 def test_product_machine():
     m = product_machine(F11)
     nxt, out = m.apply((4,), (2,))
     assert nxt == (8,) and out == (8,)
-    assert m.total_degree() == 2
+    assert m.degree == 2
 
 
 def test_qmix_machine_coordinates():
@@ -64,7 +64,7 @@ def test_boolcounter_needs_binary_field():
 
 def test_machine_registry():
     assert set(MACHINES) == {"bank", "product", "qmix", "boolcounter"}
-    assert make_machine("bank", F11).total_degree() == 1
+    assert make_machine("bank", F11).degree == 1
     with pytest.raises(ConfigurationError):
         make_machine("nope", F11)
 
@@ -79,12 +79,15 @@ def test_apply_validates_dimensions_and_elements():
         m.apply((1, 12), (3,))
 
 
-def test_declared_degree_checked():
-    sq = MultiPoly.make(2, {(2, 0): 1})
-    with pytest.raises(ConfigurationError):
-        TransitionFunction(F11, 1, 1, 0, (sq,), 1)
-    tf = TransitionFunction(F11, 1, 1, 0, (sq,), 3)
-    assert tf.total_degree() == 3  # declared bound may exceed the actual
+def test_degree_is_derived():
+    assert bank_machine(F11).degree == 1
+    assert qmix_machine(F11).degree == 2
+    # a linear-only machine, and one whose polynomials are all constant,
+    # still have degree 1
+    linear = MultiPoly.make(2, {(1, 0): 3, (0, 1): 1, (0, 0): 5})
+    assert TransitionFunction(F11, 1, 1, 0, (linear,)).degree == 1
+    const = MultiPoly.make(2, {(0, 0): 4})
+    assert TransitionFunction(F11, 1, 1, 0, (const,)).degree == 1
 
 
 def test_coefficients_must_be_canonical():
@@ -106,9 +109,10 @@ def test_composite_along_degree_k_curves_stays_bounded(name):
     # d*(K-1)+1 samples and checking extra samples agree
     fld = BinaryField(5) if name == "boolcounter" else F97
     m = make_machine(name, fld)
-    rng = random.Random(hash(name) & 0xFFFF)
+    # a str seed goes through SHA-512, so every process draws the same
+    rng = random.Random(f"composite:{name}")
     for K in (1, 2, 3, 5):
-        D = m.total_degree() * (K - 1)
+        D = m.degree * (K - 1)
         npts = D + 1 + 4
         zs = rng.sample(range(fld.order), npts)
         curves_s = [[fld.rand(rng) for _ in range(K)]
@@ -140,3 +144,18 @@ def test_samplers_have_declared_dims():
     rng = random.Random(0)
     assert len(m.random_state(rng)) == 2
     assert len(m.random_command(rng)) == 1
+
+
+def test_multipoly_general_exponents():
+    # 3*a^2*c + 5*b over F_11 at (2, 4, 6): 3*4*6 + 20 = 92 -> 4
+    p = MultiPoly.make(3, {(2, 0, 1): 3, (0, 1, 0): 5})
+    assert p.eval(F11, (2, 4, 6)) == 4
+    assert p.total_degree == 3
+
+
+def test_multipoly_rejects_bad_terms():
+    with pytest.raises(ValueError):
+        MultiPoly.make(2, {(1,): 1})
+    with pytest.raises(ValueError):
+        MultiPoly.make(1, {(-1,): 1})
+    assert MultiPoly.make(2, {(1, 1): 0}).terms == ()
