@@ -20,8 +20,10 @@ in each field's ``kernels``.  The field picks them once, at construction:
 - `PrimeKernels` for every prime: the polynomial kernels run on raw ints,
   and matrix-vector products and naive interpolation on numpy arrays
   (int64 when p^2 < 2^63, Python ints otherwise).  In int64 the
-  subproduct tree's interpolation combine also runs on numpy, through
-  quotient blocks of COMBINE_BASE points cached with the tree.
+  subproduct tree's kernels also run on numpy: the interpolation combine
+  through quotient blocks of COMBINE_BASE points, and multipoint
+  evaluation's remainders as one Horner pass over the points, checked
+  against per-node weights; both are cached with the tree.
 
 Both backends charge the same count for the same kernel call: what the
 loops count for those operands.  The kernels also keep the bounded caches
@@ -376,6 +378,53 @@ class LoopKernels:
             cur = nxt
         return cur[0]
 
+    def remainders(self, tree, a) -> list[int]:
+        """a at every point of a subproduct tree, by repeated remaindering.
+
+        From the root down, each node takes its parent's remainder modulo
+        itself, and each remainder is trimmed, so a node whose remainder
+        loses its top coefficient passes its children a shorter operand.
+        """
+        levels = tree.levels
+        top = len(levels) - 1
+        cur = [self._rem(tree, a, top, 0)]
+        for lev in range(top - 1, -1, -1):
+            cur = [self._rem(tree, cur[j // 2], lev, j)
+                   for j in range(len(levels[lev]))]
+        return [c[0] if c else 0 for c in cur]
+
+    def _rem(self, tree, a, lev: int, j: int) -> list[int]:
+        """a mod node j of level lev, via its reversed-series inverse."""
+        b = tree.levels[lev][j]
+        db = len(b) - 1
+        if len(a) - 1 < db:
+            return list(a)
+        if len(a) == 2 and db == 1:
+            # a mod (z - x) is a(x)
+            r = self.rem_linear(a, b)
+            return [r] if r else []
+        k = len(a) - db
+        inv = tree.memo.get((lev, j, k),
+                            lambda: self.series_inv(b[::-1], k))
+        q = self.mul_karatsuba(a[:-k - 1:-1], inv)[k - 1::-1]
+        r = self.sub(a[:db], self.mul_karatsuba(q, b)[:db])
+        while r and r[-1] == 0:
+            r.pop()
+        return r
+
+    def series_inv(self, s, k: int) -> list[int]:
+        """The inverse of the power series s, with s[0] = 1, modulo z^k.
+
+        Newton iteration, doubling the precision each step.
+        """
+        g, prec = [1], 1
+        two = [self.field.add(1, 1)]
+        while prec < k:
+            prec = min(2 * prec, k)
+            w = self.sub(two, self.mul_karatsuba(s[:prec], g)[:prec])
+            g = self.mul_karatsuba(g, w)[:prec]
+        return g + [0] * (k - len(g))
+
     # -- matrix-vector product ---------------------------------------------
 
     def matvec(self, matrix, vector) -> tuple[int, ...]:
@@ -419,6 +468,18 @@ def _kar_ops(la: int, lb: int) -> tuple[int, int]:
     return adds + sum(a for a, _ in parts), sum(m for _, m in parts)
 
 
+def _level_sizes(n: int) -> list[list[int]]:
+    """The points under each node of a subproduct tree on n points, level
+    by level from the leaves: adjacent nodes pair up, and an unpaired
+    trailing node is carried up unchanged."""
+    levels = [[1] * n]
+    while len(levels[-1]) > 1:
+        sizes = levels[-1]
+        nxt = [s + t for s, t in zip(sizes[::2], sizes[1::2])]
+        levels.append(nxt + sizes[-1:] if len(sizes) % 2 else nxt)
+    return levels
+
+
 @lru_cache(maxsize=1 << 10)
 def _combine_ops(n: int) -> tuple[int, int]:
     """The (adds, muls) `LoopKernels.combine` makes on a tree of n points.
@@ -429,18 +490,58 @@ def _combine_ops(n: int) -> tuple[int, int]:
     per coefficient of their sum.
     """
     adds = muls = 0
-    sizes = [1] * n
-    while len(sizes) > 1:
-        nxt = []
+    for sizes in _level_sizes(n)[:-1]:
         for s, t in zip(sizes[::2], sizes[1::2]):
             for la, lb in ((s, t + 1), (t, s + 1)):
                 a, m = _kar_ops(la, lb)
                 adds, muls = adds + a, muls + m
             adds += s + t
-            nxt.append(s + t)
-        if len(sizes) % 2:
-            nxt.append(sizes[-1])
-        sizes = nxt
+    return adds, muls
+
+
+@lru_cache(maxsize=1 << 14)
+def _series_inv_ops(ls: int, k: int) -> tuple[int, int]:
+    """The (adds, muls) `LoopKernels.series_inv` makes on ls coefficients."""
+    adds, muls = 1, 0   # the constant 2
+    lg = prec = 1
+    while prec < k:
+        prec = min(2 * prec, k)
+        lw = min(prec, min(prec, ls) + lg - 1)
+        for la, lb in ((min(prec, ls), lg), (lg, lw)):
+            a, m = _kar_ops(la, lb)
+            adds, muls = adds + a, muls + m
+        adds += lw
+        lg = min(prec, lg + lw - 1)
+    return adds, muls
+
+
+@lru_cache(maxsize=1 << 12)
+def _remainders_ops(n: int, la: int) -> tuple[int, int]:
+    """The (adds, muls) `LoopKernels.remainders` makes on a tree of n
+    points and an operand of la coefficients, if every node it divides
+    keeps a remainder of full length.
+
+    A node over s points is one of s + 1 coefficients, and it divides its
+    operand when that is longer than s.  A full remainder has s
+    coefficients, so a node's operand is the shorter of la and its
+    parent's size, and the tree's shape, which n fixes, fixes every count.
+    """
+    adds = muls = 0
+    outs = [la]   # the operand the root gets
+    for sizes in reversed(_level_sizes(n)):
+        lens = [outs[j // 2] for j in range(len(sizes))]
+        for s, length in zip(sizes, lens):
+            if length <= s:
+                continue
+            if length == 2 and s == 1:
+                adds, muls = adds + 5, muls + 3
+                continue
+            k = length - s
+            for a, m in (_series_inv_ops(s + 1, k), _kar_ops(k, k),
+                         _kar_ops(k, s + 1)):
+                adds, muls = adds + a, muls + m
+            adds += s
+        outs = [min(length, s) for s, length in zip(sizes, lens)]
     return adds, muls
 
 
@@ -456,8 +557,9 @@ class PrimeKernels(LoopKernels):
     Python-int operation per element plus numpy's dispatch, so for
     p^2 >= 2^63 they are slower than a raw-int loop would be; they are
     kept as the one code path because no workload uses such a prime.
-    `combine` is the exception: in ``object`` its dense products lose to
-    the loop, so it runs numpy only in int64.
+    `combine` and `remainders` are the exceptions: they run numpy only in
+    int64 and keep the loop in ``object``, where the combine's dense
+    products lose to it.
     """
 
     def __init__(self, field: "PrimeField"):
@@ -609,6 +711,86 @@ class PrimeKernels(LoopKernels):
             cur.append(((block[:, None] * q % p).sum(axis=0) % p).tolist())
         with uncounted():
             return self._combine_up(tree.levels[base:], cur)
+
+    def remainders(self, tree, a) -> list[int]:
+        """`LoopKernels.remainders`' values, charged its count.
+
+        In int64 the values are one Horner pass over the tree's points,
+        and the count is `_remainders_ops`, which holds unless a node the
+        loop divides loses its remainder's top coefficient.  For a node
+        over s >= 2 points that coefficient is sum_i a(x_i) * u_i over
+        its points, with u_i = 1 / node'(x_i); a zero sends the call to
+        the loop, which trims it.  The u of every node are built once per
+        tree, uncounted, and kept in ``tree.node_weights``.
+        """
+        if self.dtype is object:
+            return super().remainders(tree, a)
+        if tree.node_weights is None:
+            tree.node_weights = self._node_weights(tree)
+        x, u, starts, floors = tree.node_weights
+        p = self.p
+        y = np.zeros(len(x), dtype=np.int64)
+        for c in reversed(a):
+            # y * x + c < p^2 + p, which is below 2^63 whenever p^2 is
+            y = (y * x + c) % p
+        divided = floors < len(a)
+        if divided.any():
+            # a node sums at most n reduced products, below n * p
+            tops = np.add.reduceat((u * y % p).ravel(), starts) % p
+            if not tops[divided].all():
+                return super().remainders(tree, a)
+        charge(*_remainders_ops(len(x), len(a)))
+        return y.tolist()
+
+    def _node_weights(self, tree):
+        """The tree's points and, per level from 1 up, each point's weight
+        u_i = 1 / node'(x_i) in the node holding it there.
+
+        node'(x_i), the product of x_i - x_j over the node's other points,
+        is the level below's value times x_i's sibling node there, at x_i.
+        Per node of those levels also: its offset into the flattened
+        weights, and its floor, the operand length above which its top
+        coefficient is checked.  The loop divides a node split from a
+        larger parent (or the root) when its operand is longer than its
+        size, so that is the floor of such a node over two points or
+        more.  A node carried up unpaired is never divided, and a
+        one-point node's remainder changes no count, so no operand
+        reaches their floor.  Public setup, uncounted.
+        """
+        p, levels = self.p, tree.levels
+        n, top = len(tree.xs), len(levels) - 1
+        x = np.array(tree.xs, dtype=np.int64)
+        idx = np.arange(n)
+        d = np.ones((top, n), dtype=np.int64)
+        prev = np.ones(n, dtype=np.int64)
+        for lev in range(1, top + 1):
+            kids = levels[lev - 1]
+            # a column per node one level down, then one for 1: the
+            # sibling of the node carried up unpaired
+            cols = np.zeros((len(kids[0]), len(kids) + 1), dtype=np.int64)
+            for j, kid in enumerate(kids):
+                cols[:len(kid), j] = kid
+            cols[0, -1] = 1
+            sib = np.minimum((idx >> (lev - 1)) ^ 1, len(kids))
+            acc = np.zeros(n, dtype=np.int64)
+            for coeffs in cols[::-1]:
+                acc = (acc * x + coeffs[sib]) % p
+            prev = d[lev - 1] = prev * acc % p
+        u, e = np.ones_like(d), p - 2
+        while e:
+            # u = d^(p - 2) = 1 / d, by square and multiply
+            if e & 1:
+                u = u * d % p
+            d, e = d * d % p, e >> 1
+        sizes = _level_sizes(n)
+        never = np.iinfo(np.int64).max
+        starts, floors = [], []
+        for lev in range(1, top + 1):
+            for j, s in enumerate(sizes[lev]):
+                starts.append((lev - 1) * n + (j << lev))
+                split = lev == top or s < sizes[lev + 1][j // 2]
+                floors.append(s if s >= 2 and split else never)
+        return x, u, np.array(starts, dtype=np.intp), np.array(floors)
 
     def _quotients(self, node, xs) -> np.ndarray:
         # row i is node / (z - x_i), by synthetic division from the top

@@ -20,10 +20,10 @@ Values and counts come apart:
 - The coefficient-list arithmetic (sum, difference, schoolbook and
   Karatsuba products, Horner evaluation, long division, the linear
   remainder, naive interpolation and the subproduct tree's interpolation
-  combine) lives in ``field.kernels``; this module has one code path
-  over any field.  Over a prime field the kernels run on raw ints and
-  each product is one exact bulk multiply; over GF(2^m) they call the
-  field's counted operations one at a time.
+  combine and remainders) lives in ``field.kernels``; this module has
+  one code path over any field.  Over a prime field the kernels run on
+  raw ints and each product is one exact bulk multiply; over GF(2^m)
+  they call the field's counted operations one at a time.
 - Counts are the modelled algorithm's: the schoolbook or Karatsuba
   product, the Newton series division, the Horner step, the combine's
   pairwise products.  They follow from the operands' lengths (and, in
@@ -32,13 +32,18 @@ Values and counts come apart:
   the same operands.  The combine's operand lengths follow from the
   tree's shape alone, so over an int64 prime its values come from numpy
   sums over quotient blocks cached with the tree, not from the products
-  it is charged for.
+  it is charged for.  The remainder tree's lengths do too, unless a
+  remainder loses its top coefficient, which a numpy sum per node over
+  weights cached with the tree detects.  So over an int64 prime
+  multipoint evaluation's values come from one Horner pass over the
+  points, its count from the tree's shape, and the remainder loop runs
+  only when a top coefficient is zero.
 - Public per-point-set work (a point set's subproduct tree, its inverted
   derivative weights and each tree node's series inverses) is cached per
   field and charged on every use exactly what its first build counted.
   A cache hit saves time and changes no count.  The combine's quotient
-  blocks are no step of the modelled algorithm, so they are never
-  charged.
+  blocks and the remainders' node weights are no step of the modelled
+  algorithm, so they are never charged.
 """
 
 from __future__ import annotations
@@ -74,19 +79,6 @@ def _deriv(a: list[int], f: Field) -> list[int]:
     return [f.mul(a[i], i % f.char) for i in range(1, len(a))]
 
 
-def _series_inv(s: list[int], k: int, f: Field) -> list[int]:
-    """Inverse of the power series s modulo z^k (s[0] must be invertible)."""
-    kern = f.kernels
-    g = [f.inv(s[0])] if s[0] != 1 else [1]
-    prec = 1
-    two = [f.add(1, 1)]
-    while prec < k:
-        prec = min(2 * prec, k)
-        w = kern.sub(two, kern.mul_karatsuba(s[:prec], g)[:prec])
-        g = kern.mul_karatsuba(g, w)[:prec]
-    return g + [0] * (k - len(g))
-
-
 # ---------------------------------------------------------------------------
 # subproduct tree
 # ---------------------------------------------------------------------------
@@ -114,45 +106,29 @@ class SubproductTree:
             level = nxt
             self.levels.append(level)
         # room for each node's series inverse at a few precisions
-        self._memo = Memo(8 * len(self.xs) + 8)
-        # `PrimeKernels.combine`'s quotient blocks, built on first use
+        self.memo = Memo(8 * len(self.xs) + 8)
+        # `PrimeKernels.combine`'s quotient blocks and
+        # `PrimeKernels.remainders`' node weights, built on first use
         self.quotients = None
+        self.node_weights = None
 
     @property
     def root(self) -> list[int]:
         return self.levels[-1][0]
 
     def remainders(self, p: list[int]) -> list[int]:
-        """Evaluate p at every tree point by repeated remaindering."""
-        top = len(self.levels) - 1
-        cur = [self._rem(p, top, 0)]
-        for lev in range(top - 1, -1, -1):
-            cur = [self._rem(cur[j // 2], lev, j)
-                   for j in range(len(self.levels[lev]))]
-        return [c[0] if c else 0 for c in cur]
+        """Evaluate p at every tree point by repeated remaindering.
 
-    def _rem(self, a: list[int], lev: int, j: int) -> list[int]:
-        """a mod node j of level lev, via its reversed-series inverse."""
-        f = self.field
-        b = self.levels[lev][j]
-        db = len(b) - 1
-        if len(a) - 1 < db:
-            return list(a)
-        kern = f.kernels
-        if len(a) == 2 and db == 1:
-            # a mod (z - x) is a(x)
-            r = kern.rem_linear(a, b)
-            return [r] if r else []
-        k = len(a) - db
-        inv = self._memo.get((lev, j, k),
-                             lambda: _series_inv(b[::-1], k, f))
-        q = kern.mul_karatsuba(a[:-k - 1:-1], inv)[k - 1::-1]
-        return _trim(kern.sub(a[:db], kern.mul_karatsuba(q, b)[:db]))
+        Charged as `LoopKernels.remainders` counts it.  Over an int64
+        prime the values come from one Horner pass over the points
+        (`PrimeKernels.remainders`).
+        """
+        return self.field.kernels.remainders(self, p)
 
     def weights(self) -> tuple[int, ...]:
         """1 / M'(x_i) for the root M, at every tree point (cached)."""
         f = self.field
-        return self._memo.get("weights", lambda: tuple(
+        return self.memo.get("weights", lambda: tuple(
             f.inv(d) for d in self.remainders(_deriv(self.root, f))))
 
     def combine(self, ws: Sequence[int]) -> list[int]:

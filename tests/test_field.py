@@ -18,6 +18,7 @@ from codedsm.field import (
     PrimeField,
     PrimeKernels,
     Table,
+    _remainders_ops,
     counting,
     parse_field,
 )
@@ -351,6 +352,48 @@ def test_int64_combine_matches_loop_kernels(n, seed, p):
     for _ in range(2):
         assert _values_and_counts(
             lambda: fld.kernels.combine(tree, ws)) == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 300), seed=st.integers(0, 1 << 30),
+       p=st.sampled_from([5, 13] + BULK_PRIMES + [3037000493]))
+@example(n=3, seed=1, p=5)
+@example(n=5, seed=2, p=13)
+@example(n=77, seed=3, p=97)
+@example(n=129, seed=4, p=(1 << 31) - 1)
+@example(n=300, seed=5, p=3037000493)
+@example(n=300, seed=6, p=(1 << 61) - 1)
+def test_int64_remainders_match_loop_kernels(n, seed, p):
+    # operands shorter than the tree, as long, and longer, cold and then
+    # warm.  Small primes make a zero top coefficient common, and one
+    # operand, a multiple of a node the loop divides, forces one: both
+    # leave the count from the tree's shape for the loop's.  Above
+    # 3037000493 the object dtype keeps the loop.
+    fld = PrimeField(p)
+    rng = random.Random(seed)
+    xs = rng.sample(range(p), min(n, p))
+    n = len(xs)
+    tree, loop_tree = SubproductTree(xs, fld), SubproductTree(xs, fld)
+    lengths = (0, 1, rng.randrange(n), n, n + 1, 2 * n + 1)
+    cases = [[rng.randrange(p) for _ in range(m)] for m in lengths]
+    levels = tree.levels
+    divided = [node for lev in range(1, len(levels))
+               for j, node in enumerate(levels[lev]) if len(node) > 2
+               and (lev == len(levels) - 1
+                    or len(node) < len(levels[lev + 1][j // 2]))]
+    if divided:
+        cofactor = [rng.randrange(p) for _ in range(rng.randint(1, n))]
+        cases.append(LoopKernels(fld).mul_schoolbook(cofactor,
+                                                      rng.choice(divided)))
+    for a in cases:
+        want = _values_and_counts(
+            lambda: LoopKernels(fld).remainders(loop_tree, a))
+        for _ in range(2):
+            assert _values_and_counts(
+                lambda: fld.kernels.remainders(tree, a)) == want
+    if divided:
+        assert (want[1].adds, want[1].muls) != _remainders_ops(n, len(a))
+    assert (tree.node_weights is None) == (fld.kernels.dtype is object)
 
 
 def test_table_arrays_are_kept_per_dtype():

@@ -11,6 +11,7 @@ from codedsm.field import (
     POINT_SET_CACHE_SIZE,
     BinaryField,
     ConfigurationError,
+    LoopKernels,
     OpCounter,
     PrimeField,
     PrimeKernels,
@@ -234,6 +235,32 @@ def test_warm_interpolation_multiplies_only_above_the_blocks(
     calls.update(polymul=0, _quotients=0)
     interpolate([(x, f.rand(rng)) for x in xs], f, "fast")
     assert calls == {"polymul": above, "_quotients": 0}
+
+
+def test_int64_evaluation_takes_the_remainder_loop_only_on_a_zero_top(
+        monkeypatch):
+    # a generic polynomial keeps every remainder's top coefficient, so its
+    # values come from the Horner pass alone; one vanishing on the points
+    # of a node (the first 32 in tree order, or all of them) zeroes that
+    # node's remainder, and the loop runs
+    calls = []
+    real = LoopKernels._rem
+
+    def spy(self, *args):
+        calls.append(1)
+        return real(self, *args)
+
+    monkeypatch.setattr(LoopKernels, "_rem", spy)
+    rng = random.Random(96)
+    xs = rng.sample(range(1, FBIG.order), 96)
+    q = DensePoly(FBIG, [FBIG.rand(rng) for _ in range(48)])
+    for _ in range(2):
+        assert multipoint_eval(q, xs, "fast") == [q(x) for x in xs]
+    assert calls == []
+    for r in (q * vanishing(xs[:32], FBIG), q * vanishing(xs, FBIG)):
+        calls.clear()
+        assert multipoint_eval(r, xs, "fast") == [r(x) for x in xs]
+        assert calls
 
 
 # ---------------------------------------------------------------------------

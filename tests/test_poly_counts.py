@@ -30,7 +30,7 @@ from hypothesis import strategies as st
 
 from codedsm.field import (LoopKernels, OpCounter, PrimeField, PrimeKernels,
                            counting, parse_field)
-from codedsm.poly import DensePoly, interpolate, multipoint_eval
+from codedsm.poly import DensePoly, interpolate, multipoint_eval, vanishing
 from codedsm.simnet import ExperimentConfig, run_experiment
 
 SPECS = ("prime:2147483647", "binary:8")
@@ -177,6 +177,31 @@ def test_golden_counts_cold_and_warm(spec, op, mode):
         assert first == second
         assert cold == GOLDEN[spec, op, mode, n], (n, "cold")
         assert warm == GOLDEN[spec, op, mode, n], (n, "warm")
+
+
+@pytest.mark.parametrize("loop", [False, True])
+def test_multipoint_eval_counts_follow_trimmed_remainders(loop):
+    # A node's remainder loses its top coefficient when the polynomial
+    # vanishes on the node's points, and every node below it then gets a
+    # shorter operand.  (adds, muls) of one degree-38 evaluation on 39
+    # points: a generic polynomial, then one vanishing on the first 20
+    # points in tree order, then one vanishing on the last 20.
+    p = 2147483647
+    f = _loop_twin(p) if loop else PrimeField(p)
+    rng = random.Random(5)
+    xs = rng.sample(range(1, p), 39)
+    generic = DensePoly(f, [f.rand(rng) for _ in xs])
+    cofactor = DensePoly(f, [f.rand(rng) for _ in range(19)])
+    cases = ((generic, (8655, 5837)),
+             (cofactor * vanishing(xs[:20], f), (7565, 5005)),
+             (cofactor * vanishing(xs[-20:], f), (8144, 5451)))
+    for poly, want in cases:
+        assert poly.degree == 38
+        for _ in range(2):  # cold, then warm
+            (adds, muls, _), vals = _counted(
+                lambda: multipoint_eval(poly, xs, "fast"))
+            assert (adds, muls) == want
+            assert vals == [poly(x) for x in xs]
 
 
 RUNS = {
